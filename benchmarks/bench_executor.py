@@ -1,10 +1,11 @@
 """Benchmark: superop execution engine and vectorized Huffman encode.
 
 Measures the *simulator substrate*, not the paper's results: for every
-tier-1 workload it times the per-instruction reference interpreter
-("old": ``block_mode=False`` plus the scalar BitWriter encode path the
-repo shipped with) against the basic-block superop engine ("new":
-``block_mode=True`` plus vectorized encode), and reports
+tier-1 workload it times the per-instruction stepping engine ("old":
+``block_mode=False``, one generated function per instruction built from
+the same source emitter as the superops, plus the scalar BitWriter
+encode path the repo shipped with) against the basic-block superop
+engine ("new": ``block_mode=True`` plus vectorized encode), and reports
 
 * executed instructions per second under each engine,
 * Huffman encode throughput (MB/s), scalar vs vectorized, and
@@ -23,9 +24,11 @@ Run from the repository root::
 
     PYTHONPATH=src python benchmarks/bench_executor.py
 
-and it writes ``BENCH_executor.json``.  ``--smoke`` runs one workload
-under both engines and fails on any result mismatch (CI uses this);
-``--metrics FILE`` writes the record to an extra location.
+and it writes ``BENCH_executor.json``.  The committed record predates
+the emitter-built stepping engine: its "old" figures were taken with a
+hand-written per-instruction closure interpreter.  ``--smoke`` runs one
+workload under both engines and fails on any result mismatch (CI uses
+this); ``--metrics FILE`` writes the record to an extra location.
 """
 
 from __future__ import annotations

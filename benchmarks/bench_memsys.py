@@ -4,7 +4,7 @@ Measures the cache→CLB→refill stage of the full performance grid
 (Tables 1-8 + Figure 9 + Tables 9-10): for every simulation program, the
 exact multiset of CLB simulations and refill-table builds the grid
 performs, timed once through the per-probe reference models
-(``CCRP_MEMSYS_REFERENCE`` path: the stateful :class:`repro.ccrp.clb.CLB`
+(``CCRP_REFERENCE`` path: the stateful :class:`repro.ccrp.clb.CLB`
 and the per-block ``RefillEngine`` loop) and once through the array
 kernels (stack-distance miss curves and
 :meth:`repro.ccrp.decoder.DecoderModel.refill_cycles_table`).  The cache

@@ -18,3 +18,22 @@ Quickstart::
 """
 
 __version__ = "1.0.0"
+
+import os as _os
+
+#: Set to a truthy value (``1``/``true``/``yes``/``on``) to force every
+#: golden reference model: the per-instruction stepping executor and the
+#: scalar memory-system paths (stateful CLB walk, per-block refill loops,
+#: per-line decode).  CI uses it to check that the fast paths render
+#: byte-identical experiment outputs.
+REFERENCE_ENV = "CCRP_REFERENCE"
+
+
+def reference_mode() -> bool:
+    """True when the environment forces the golden reference models."""
+    return _os.environ.get(REFERENCE_ENV, "").strip().lower() in {
+        "1",
+        "true",
+        "yes",
+        "on",
+    }

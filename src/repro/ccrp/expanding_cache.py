@@ -26,13 +26,13 @@ unchanged program.
 
 from __future__ import annotations
 
+from repro import reference_mode
 from repro.errors import CompressionError, ConfigurationError, IntegrityError
 from repro.ccrp.clb import CLB
 from repro.ccrp.image import CompressedImage
 from repro.core.metrics import METRICS
 from repro.faults.integrity import crc8, validate_integrity_policy
 from repro.lat.entry import ENTRY_BYTES, LINES_PER_ENTRY, LATEntry
-from repro.memsys.models import memsys_reference_mode
 
 
 class ExpandingInstructionCache:
@@ -88,7 +88,7 @@ class ExpandingInstructionCache:
         # A pristine store can serve refills from the image's one batch
         # decode; an overridden (possibly corrupted) store must decode
         # whatever bytes the walk actually fetched.
-        self._use_batch = memory_image is None and not memsys_reference_mode()
+        self._use_batch = memory_image is None and not reference_mode()
         self._tags: list[int | None] = [None] * self.num_sets
         self._lines: list[bytes] = [b""] * self.num_sets
         self.hits = 0

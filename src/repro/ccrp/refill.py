@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro import reference_mode
 from repro.ccrp.decoder import DecoderModel
 from repro.ccrp.image import CompressedImage
 from repro.errors import LATError
 from repro.lat.entry import ENTRY_BYTES
-from repro.memsys.models import MemoryModel, get_memory_model, memsys_reference_mode
+from repro.memsys.models import MemoryModel, get_memory_model
 
 
 class RefillEngine:
@@ -28,7 +29,7 @@ class RefillEngine:
         vectorized: Build the cost tables with the array kernels
             (:meth:`DecoderModel.refill_cycles_table`) instead of the
             per-block reference loop.  ``None`` (the default) uses the
-            kernels unless ``CCRP_MEMSYS_REFERENCE`` is set or the image's
+            kernels unless ``CCRP_REFERENCE`` is set or the image's
             blocks are not uniform full lines.  Both paths are
             property-pinned equal; the tables they produce are identical.
     """
@@ -44,7 +45,7 @@ class RefillEngine:
         self.memory = get_memory_model(memory)
         self.decoder = decoder or DecoderModel()
         if vectorized is None:
-            vectorized = not memsys_reference_mode()
+            vectorized = not reference_mode()
         arrays = image.block_arrays() if vectorized else None
         if arrays is not None:
             self._ccrp_cycles = self.decoder.refill_cycles_table(arrays, self.memory)

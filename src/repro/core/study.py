@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro import reference_mode
 from repro.cache.direct_mapped import simulate_trace
 from repro.cache.stats import CacheStats
 from repro.ccrp.clb import CLB
@@ -23,7 +24,7 @@ from repro.core.metrics import METRICS
 from repro.core.performance import ComparisonReport, SystemMetrics
 from repro.core.standard import standard_code
 from repro.lat.entry import ENTRY_BYTES, LINES_PER_ENTRY
-from repro.memsys.models import get_memory_model, memsys_reference_mode
+from repro.memsys.models import get_memory_model
 from repro.pipeline.datapath import PipelineResult
 from repro.pipeline.frontend import (
     baseline_critical_word_cycles,
@@ -123,10 +124,10 @@ class ProgramStudy:
 
         Served from the one-pass stack-distance miss curve, so sweeping
         CLB sizes costs one simulation per cache size.  With
-        ``CCRP_MEMSYS_REFERENCE`` set, the stateful :class:`CLB` walks
+        ``CCRP_REFERENCE`` set, the stateful :class:`CLB` walks
         the stream instead — the golden reference the curve is pinned to.
         """
-        if not memsys_reference_mode():
+        if not reference_mode():
             return lru_miss_count(self._clb_curve(cache_bytes), clb_entries)
         key = (cache_bytes, clb_entries)
         count = self._clb_misses.get(key)

@@ -1,9 +1,14 @@
 """Functional MIPS-I simulator with branch delay slots.
 
-The :class:`Machine` pre-compiles each static instruction into a Python
-closure and interprets the program directly, recording the dynamic
+The :class:`Machine` interprets a program directly, recording the dynamic
 instruction-address trace.  This is the reproduction's stand-in for running
 real DECstation binaries under ``pixie``.
+
+Instruction semantics have exactly one definition: the Python source
+emitter (:func:`_emit_instruction` and :func:`_emit_terminator`).  Both
+engines run the code it generates.  The reference engine steps one
+generated function per instruction; the default superop engine fuses
+each basic block, or a whole loop, into one generated function.
 
 Architectural conventions:
 
@@ -21,7 +26,7 @@ Architectural conventions:
 from __future__ import annotations
 
 import marshal
-import os
+import re
 import struct
 import sys
 from collections import OrderedDict
@@ -29,6 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro import reference_mode
 from repro.errors import ExecutionError
 from repro.isa.assembler import AssembledProgram
 from repro.isa.cfg import find_leaders
@@ -43,41 +49,19 @@ DEFAULT_MAX_INSTRUCTIONS = 4_000_000
 #: Initial stack pointer: top of the 24-bit space, word aligned.
 STACK_TOP = 0xFFFFF0
 
-#: Environment escape hatch: ``simple`` selects the per-instruction
-#: interpreter, anything else (default) the basic-block superop engine.
-ENV_EXECUTOR = "CCRP_EXECUTOR"
-
 _WORD_MASK = 0xFFFFFFFF
 _MEM_MASK = (1 << 24) - 1
 
 
 def default_block_mode() -> bool:
-    """Whether new machines use the superop engine (``CCRP_EXECUTOR``)."""
-    return os.environ.get(ENV_EXECUTOR, "").strip().lower() != "simple"
+    """Whether new machines use the superop engine (off under ``CCRP_REFERENCE``)."""
+    return not reference_mode()
 
 
-#: Block kinds of the superop engine.
-_FALL = 0  # straight line; control falls through to ``end``
-_BRANCH = 1  # ends in a control transfer plus its delay slot
-
-#: Dispatch modes of a fused block's record (how to interpret the
-#: superop's return value).
-_M_FALL = 0  # superop returns None; control falls through to ``end``
-_M_INLINE = 1  # terminator inlined (or none); superop returns the next pc
-_M_CLOSURE = 2  # superop runs the body; branch/slot closures finish
-_M_LOOP = 3  # self-loop; superop(budget) returns ±iteration count
-
-#: Instructions a block must execute before it is fused into a generated
-#: superop.  Compiling costs around a millisecond — what fusion saves
-#: over a few hundred closure-loop instructions — so the warmup budget
-#: scales inversely with block size and colder blocks never pay it.
-#: Only the first-ever run of a program pays at all: compiled superops
-#: persist through the artifact cache and later runs fuse immediately.
-_FUSE_INSTRUCTIONS = 256
-
-#: Executions floor: even large blocks run the closure loop a few times
-#: first, so straight-line cold code (run-once init) never compiles.
-_FUSE_MIN_EXECUTIONS = 4
+#: Dispatch modes of a block's record (how to interpret the superop's
+#: return value); persisted with the compiled code.
+_M_INLINE = 0  # superop runs the whole block and returns the next pc
+_M_LOOP = 1  # loop; superop(budget) returns ±iteration count
 
 #: Per-program superop state shared across Machine instances: leader sets
 #: and compiled code objects depend only on the program text, so repeat
@@ -99,7 +83,7 @@ def _shared_key(program: AssembledProgram) -> tuple:
         artifacts.fingerprint_bytes(program.text),
         program.text_base,
         sys.implementation.cache_tag,
-        3,  # payload format: loop entries carry (n, end, member starts)
+        4,  # payload format: an inline entry carries its instruction count
     )
 
 
@@ -114,8 +98,8 @@ def _load_shared(program: AssembledProgram) -> dict:
             leaders = blob["leaders"]
             entry["leaders"] = set(leaders) if leaders is not None else None
             entry["codes"] = {
-                pc: (marshal.loads(raw), mode, target)
-                for pc, (raw, mode, target) in blob["codes"].items()
+                pc: (marshal.loads(raw), mode, payload)
+                for pc, (raw, mode, payload) in blob["codes"].items()
             }
     except Exception:  # corrupt blob or foreign bytecode: recompile
         entry = {"leaders": None, "codes": {}, "dirty": False}
@@ -133,8 +117,8 @@ def _store_shared(program: AssembledProgram, entry: dict) -> None:
         blob = {
             "leaders": sorted(leaders) if leaders is not None else None,
             "codes": {
-                pc: (marshal.dumps(code), mode, target)
-                for pc, (code, mode, target) in entry["codes"].items()
+                pc: (marshal.dumps(code), mode, payload)
+                for pc, (code, mode, payload) in entry["codes"].items()
             },
         }
         artifacts.get_cache().store("superops", blob, *_shared_key(program))
@@ -155,29 +139,18 @@ def _program_cache(program: AssembledProgram) -> dict:
     return entry
 
 
-class _Block:
-    """One fused basic block: a compiled superop plus a terminator.
+class _Steps(dict):
+    """One-instruction functions keyed by pc, built on first lookup."""
 
-    ``superop`` is a single generated function inlining the block's
-    straight-line instruction semantics (``None`` falls back to calling
-    the per-instruction ``ops`` closures in order); a :data:`_BRANCH`
-    block then runs its branch and delay-slot closures with the exact
-    two-step semantics of the per-instruction loop.  ``addresses`` is
-    the static address array recorded once per execution event instead
-    of once per instruction.
-    """
+    __slots__ = ("_build",)
 
-    __slots__ = ("kind", "ops", "superop", "branch", "slot", "n", "addresses", "end")
+    def __init__(self, build) -> None:
+        super().__init__()
+        self._build = build
 
-    def __init__(self, kind, ops, superop, branch, slot, addresses, end):
-        self.kind = kind
-        self.ops = ops
-        self.superop = superop
-        self.branch = branch
-        self.slot = slot
-        self.n = len(addresses)
-        self.addresses = addresses
-        self.end = end
+    def __missing__(self, pc: int):
+        step = self[pc] = self._build(pc)
+        return step
 
 
 class _Halt(Exception):
@@ -186,44 +159,6 @@ class _Halt(Exception):
     def __init__(self, exit_code: int) -> None:
         super().__init__(exit_code)
         self.exit_code = exit_code
-
-
-class _LazyOps:
-    """Per-instruction closures, compiled on first touch.
-
-    The superop engine executes almost every instruction inside generated
-    block functions and only needs individual closures for the blocks it
-    actually enters (warmup runs, closure terminators, single-step
-    fallback).  Compiling all of them eagerly made ``Machine``
-    construction scale with *static* text size — for large programs that
-    cost several times the execution itself — so block mode builds this
-    view instead and pays only for the dynamically touched footprint.
-    Indexing and slicing return the same closures the eager list would.
-    """
-
-    __slots__ = ("_compile_one", "_instructions", "_base", "_ops")
-
-    def __init__(self, compile_one, instructions, base: int) -> None:
-        self._compile_one = compile_one
-        self._instructions = instructions
-        self._base = base
-        self._ops: list = [None] * len(instructions)
-
-    def __len__(self) -> int:
-        return len(self._ops)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return tuple(
-                self[position]
-                for position in range(*index.indices(len(self._ops)))
-            )
-        op = self._ops[index]
-        if op is None:
-            op = self._ops[index] = self._compile_one(
-                self._instructions[index], self._base + 4 * index
-            )
-        return op
 
 
 @dataclass(frozen=True)
@@ -255,11 +190,6 @@ class ExecutionResult:
         return self.instructions_executed + self.stall_cycles
 
 
-def _signed(value: int) -> int:
-    """Interpret a 32-bit pattern as a signed integer."""
-    return value - 0x1_0000_0000 if value & 0x8000_0000 else value
-
-
 # Precompiled converters: struct.Struct methods skip the per-call format
 # cache lookup of the module-level functions.
 _F32 = struct.Struct(">f")
@@ -268,36 +198,18 @@ _F64 = struct.Struct(">d")
 _U64 = struct.Struct(">Q")
 
 
-def _float_bits(value: float) -> int:
-    return _U32.unpack(_F32.pack(value))[0]
-
-
-def _bits_float(bits: int) -> float:
-    return _F32.unpack(_U32.pack(bits & _WORD_MASK))[0]
-
-
-def _double_bits(value: float) -> int:
-    return _U64.unpack(_F64.pack(value))[0]
-
-
-def _bits_double(bits: int) -> float:
-    return _F64.unpack(_U64.pack(bits & 0xFFFF_FFFF_FFFF_FFFF))[0]
-
-
 # ----------------------------------------------------------------------
-# Superop code generation
+# Instruction semantics: Python source generation
 # ----------------------------------------------------------------------
 #
-# Each basic block is fused into one generated Python function whose body
-# inlines the block's instruction semantics with every static operand —
-# register numbers, immediates, shift amounts, fault addresses — folded in
-# as literals, and writes to the hard-wired ``$zero`` elided outright.
-# Architectural state is bound once through default arguments (the fastest
-# name binding CPython offers), so the interpreter pays a single call per
-# block instead of one per instruction.  Every emitted statement mirrors
-# the corresponding ``Machine._compile`` closure line for line; mnemonics
-# without an emitter fall back to calling that closure (``_o[k]()``), so
-# fusion never changes semantics.
+# Every instruction runs as generated Python code.  The emitter folds each
+# static operand — register numbers, immediates, shift amounts, fault
+# addresses — into the source as a literal and elides writes to the
+# hard-wired ``$zero`` outright.  Architectural state is bound once through
+# default arguments (the fastest name binding CPython offers).  The superop
+# engine fuses a whole basic block into one function, so its interpreter
+# pays a single call per block; the reference engine wraps each instruction
+# on its own (:func:`_step_source`) and pays one call per instruction.
 
 
 def _sx(expr: str) -> str:
@@ -308,8 +220,8 @@ def _sx(expr: str) -> str:
 def _load_float(var: str, index: int) -> str:
     """Source reading FP register ``index`` as a Python float into ``var``.
 
-    FP registers only ever hold masked 32-bit patterns, so the defensive
-    mask of :func:`_bits_float` is unnecessary here.
+    FP registers only ever hold masked 32-bit patterns, so no defensive
+    mask is needed before packing.
     """
     return f"{var} = UF(PI(f[{index}]))[0]"
 
@@ -337,7 +249,6 @@ class _ForwardState:
         "double_writes",
         "sink_pairs",
         "pending",
-        "opaque",
         "_count",
     )
 
@@ -357,7 +268,6 @@ class _ForwardState:
         # the temp holding their current value, in last-write order.
         self.sink_pairs: frozenset = frozenset()
         self.pending: dict[int, str] = {}
-        self.opaque = False  # block contains a closure-fallback op
         self._count = 0
 
     def temp(self) -> str:
@@ -408,16 +318,11 @@ class _ForwardState:
         """Words read or written as raw patterns (not via forwarding)."""
         self.raw.update(indices)
 
-    def clear(self) -> None:
-        self.opaque = True
-        self.doubles.clear()
-
 
 def _emit_instruction(
     instruction: Instruction, pc: int, fwd: _ForwardState | None = None
-) -> list[str] | None:
-    """Python statements for one straight-line instruction, or ``None``
-    to defer to the pre-compiled closure."""
+) -> list[str]:
+    """Python statements executing one non-control-transfer instruction."""
     if fwd is None:
         fwd = _ForwardState()
     m = instruction.mnemonic
@@ -478,9 +383,9 @@ def _emit_instruction(
             f"x = {_sx(f'r[{rs}]')}",
             f"y = {_sx(f'r[{rt}]')}",
             "if y == 0:",
-            "    hl[0] = hl[1] = 0",
+            "    hl[0] = hl[1] = 0",  # UNPREDICTABLE on hardware
             "else:",
-            "    q = int(x / y)",
+            "    q = int(x / y)",  # truncate toward zero
             "    hl[1] = q & 0xFFFFFFFF",
             "    hl[0] = (x - q * y) & 0xFFFFFFFF",
         ]
@@ -583,6 +488,56 @@ def _emit_instruction(
             f"d[(r[{rs}] + {imm}) & 0xFFFFFF] = r[{rt}] & 0xFF",
         ]
 
+    # --- unaligned-access pairs (big-endian LWL/LWR/SWL/SWR) ----------
+    # ``o`` is the byte offset within the aligned word, in bits; ``w``
+    # the aligned word.  The left forms move the bytes from the address
+    # to the word's end into the register's top; the right forms move
+    # the bytes from the word's start through the address into its
+    # bottom.
+    if m in ("lwl", "lwr", "swl", "swr"):
+        lines = [
+            "st[0] += 1",
+            f"a = (r[{rs}] + {imm}) & 0xFFFFFF",
+            "o = (a & 3) << 3",
+            "a &= 0xFFFFFC",
+            "w = (d[a] << 24) | (d[a + 1] << 16) | (d[a + 2] << 8) | d[a + 3]",
+        ]
+        if m == "lwl":
+            if rt:
+                lines.append(
+                    f"r[{rt}] = ((w << o) & 0xFFFFFFFF) | (r[{rt}] & ((1 << o) - 1))"
+                )
+            return lines
+        if m == "lwr":
+            if rt:
+                lines += [
+                    "u = (1 << (o + 8)) - 1",
+                    f"r[{rt}] = (r[{rt}] & ~u & 0xFFFFFFFF) | ((w >> (24 - o)) & u)",
+                ]
+            return lines
+        if m == "swl":
+            lines += [
+                "u = (1 << (32 - o)) - 1",
+                f"v = (w & ~u & 0xFFFFFFFF) | (r[{rt}] >> o)",
+            ]
+        else:  # swr
+            lines += [
+                "u = (1 << (24 - o)) - 1",
+                f"v = (w & u) | ((r[{rt}] << (24 - o)) & 0xFFFFFFFF & ~u)",
+            ]
+        return lines + [
+            "d[a] = (v >> 24) & 0xFF",
+            "d[a + 1] = (v >> 16) & 0xFF",
+            "d[a + 2] = (v >> 8) & 0xFF",
+            "d[a + 3] = v & 0xFF",
+        ]
+
+    # --- system ---------------------------------------------------------
+    if m == "syscall":
+        return [f"SC({pc})"]
+    if m == "break":
+        return [f'raise EE("break executed at {pc:#x}")']
+
     # --- FP moves and arithmetic -------------------------------------
     if m == "mfc1":
         if not rt:
@@ -623,7 +578,7 @@ def _emit_instruction(
                 fwd.invalidate(fd + 1)
             return lines
         operator = {"add": "{x} + {y}", "sub": "{x} - {y}", "mul": "{x} * {y}"}.get(base)
-        if operator is None:  # div: mirror the signed-zero-safe closure
+        if operator is None:  # div: a zero divisor yields a signed infinity
             operator = '{x} / {y} if {y} != 0.0 else float("inf") * (1 if {x} >= 0 else -1)'
         if double:
             lines = []
@@ -684,16 +639,12 @@ def _emit_instruction(
         lines.append(f"cc[0] = 1 if {comparison} else 0")
         return lines
 
-    # lwl/lwr/swl/swr, syscall, break, and anything exotic: keep the
-    # battle-tested closure.
-    return None
+    raise ExecutionError(f"no executor for mnemonic {m!r}")  # pragma: no cover
 
 
-#: Condition expressions of the plain conditional branches, mirroring
-#: their closures in :meth:`Machine._compile`.  Truthiness matches the
-#: closure's taken/not-taken decision exactly (``bltz`` yields the raw
-#: sign bit, which Python treats as true precisely when the closure
-#: branches).
+#: Condition expressions of the plain conditional branches.  ``bltz``
+#: yields the raw sign bit, which Python treats as true precisely when
+#: the branch is taken.
 _BRANCH_CONDITIONS = {
     "beq": "r[{rs}] == r[{rt}]",
     "bne": "r[{rs}] != r[{rt}]",
@@ -709,19 +660,19 @@ _BRANCH_CONDITIONS = {
 
 
 def _emit_terminator(
-    instruction: Instruction, pc: int, end: int = 0
-) -> tuple[list[str], str, int | None] | None:
+    instruction: Instruction, pc: int, end: int | None = 0
+) -> tuple[list[str], str, int | None]:
     """``(setup_lines, return_expr, conditional_target)`` for a control
-    transfer, or ``None`` to keep its closure.
+    transfer.
 
     ``setup_lines`` evaluate the branch condition (and perform link-
-    register writes) *before* the delay slot, exactly as the reference
-    loop calls the branch closure first; ``return_expr`` — the next pc:
-    the taken target, or ``end`` (the address past the delay slot) for
-    a not-taken branch — evaluates after the slot.  ``conditional_target``
-    is the static target of a conditional branch (the loop fuser needs
-    to know both the target and that the terminator can fall through),
-    ``None`` for jumps.
+    register writes) *before* the delay slot runs; ``return_expr`` — the
+    next pc: the taken target, or ``end`` for a not-taken branch (the
+    address past the delay slot in a block, ``None`` in a one-instruction
+    step) — evaluates after the slot.  ``conditional_target`` is the
+    static target of a conditional branch (the loop fuser needs to know
+    both the target and that the terminator can fall through), ``None``
+    for jumps.
     """
     m = instruction.mnemonic
     condition = _BRANCH_CONDITIONS.get(m)
@@ -729,7 +680,7 @@ def _emit_terminator(
         target = (pc + 4 + (instruction.imm_signed << 2)) & _MEM_MASK
         setup = []
         if m in ("bltzal", "bgezal"):
-            # The closure writes $ra before reading the condition.
+            # The link is written before the condition reads ``rs``.
             setup.append(f"r[31] = {(pc + 8) & _MEM_MASK}")
         setup.append(
             "taken = " + condition.format(rs=instruction.rs, rt=instruction.rt)
@@ -746,19 +697,65 @@ def _emit_terminator(
         if instruction.rd:
             setup.append(f"r[{instruction.rd}] = {(pc + 8) & _MEM_MASK}")
         return setup, "t", None
-    return None
+    raise ExecutionError(f"{m!r} at {pc:#x} is not a control transfer")
 
 
-_SU_HEADER = (
-    "r=_R, f=_F, hl=_HL, cc=_CC, d=_D, st=_ST, _o=_O, EE=_EE, "
-    "PF=_F32.pack, UF=_F32.unpack, PI=_U32.pack, UI=_U32.unpack, "
-    "PD=_F64.pack, UD=_F64.unpack, PQ=_U64.pack, UQ=_U64.unpack"
-)
+#: Default-argument bindings of a generated function: local name ->
+#: namespace global.  Defaults are copied into the frame on every call,
+#: so each function binds only the names its body uses.
+_SU_BINDINGS = {
+    "r": "_R",
+    "f": "_F",
+    "hl": "_HL",
+    "cc": "_CC",
+    "d": "_D",
+    "st": "_ST",
+    "SC": "_SC",
+    "EE": "_EE",
+    "PF": "_F32.pack",
+    "UF": "_F32.unpack",
+    "PI": "_U32.pack",
+    "UI": "_U32.unpack",
+    "PD": "_F64.pack",
+    "UD": "_F64.unpack",
+    "PQ": "_U64.pack",
+    "UQ": "_U64.unpack",
+}
+
+_NAME = re.compile(r"[A-Za-z_]\w*")
 
 
 def _wrap_superop(lines: list[str], loop: bool = False) -> str:
-    header = f"def _su({'budget, ' if loop else ''}{_SU_HEADER}):"
-    return header + "\n" + "\n".join("    " + line for line in lines)
+    body = "\n".join("    " + line for line in lines or ["pass"])
+    used = set(_NAME.findall(body))
+    bindings = [
+        f"{name}={value}" for name, value in _SU_BINDINGS.items() if name in used
+    ]
+    if loop:
+        bindings.insert(0, "budget")
+    return f"def _su({', '.join(bindings)}):\n{body}"
+
+
+def _step_source(instruction: Instruction, pc: int) -> str:
+    """Source of the reference engine's one-instruction function.
+
+    It executes ``instruction`` and returns the branch/jump target when
+    control transfers, otherwise ``None``.
+    """
+    if instruction.spec.is_control_transfer:
+        setup, target, _ = _emit_terminator(instruction, pc, None)
+        return _wrap_superop(setup + [f"return {target}"])
+    return _wrap_superop(_emit_instruction(instruction, pc))
+
+
+def _to_code(source: str, pc: int):
+    """Compile generated source; an emitter bug surfaces as a typed error."""
+    try:
+        return compile(source, f"<superop:{pc:#x}>", "exec")
+    except (SyntaxError, ValueError) as error:
+        raise ExecutionError(
+            f"generated code for pc {pc:#x} failed to compile: {error}"
+        ) from error
 
 
 def _block_source(
@@ -767,41 +764,29 @@ def _block_source(
     slot_entry: tuple[Instruction, int] | None,
     pc: int,
     end: int,
-) -> tuple[str, int, int | None]:
-    """``(source, mode, taken_target)`` of the fused function for one block.
+) -> tuple[str, int]:
+    """``(source, mode)`` of the fused function for one block.
 
-    ``entries`` pairs each straight-line op with its address; the op's
-    position in the list is also its index into the block's closure
-    tuple ``_o``.  ``branch_entry``/``slot_entry`` carry a closing
-    control transfer and its delay slot (``None`` for fall-through
-    blocks); ``end`` is the address past the block.  Fall-through
-    blocks and blocks whose terminator and slot both have emitters
-    compile to a superop returning the *next pc* (:data:`_M_INLINE`);
-    a conditional branch targeting the block's own entry becomes a
-    generated loop (:data:`_M_LOOP`: ``superop(budget)`` runs up to
-    ``budget`` iterations and returns the count, negated when it
-    exited with the branch still taken).  Otherwise the branch and slot
-    keep their closures (:data:`_M_CLOSURE`).
+    ``entries`` pairs each straight-line instruction with its address;
+    ``branch_entry``/``slot_entry`` carry a closing control transfer and
+    its delay slot (``None`` for fall-through blocks); ``end`` is the
+    address past the block.  The superop returns the *next pc*
+    (:data:`_M_INLINE`), except that a conditional branch targeting the
+    block's own entry becomes a generated loop (:data:`_M_LOOP`:
+    ``superop(budget)`` runs up to ``budget`` iterations and returns the
+    count, negated when it exited with the branch still taken).  A
+    self-loop with a syscall or break in its delay slot stays a plain
+    block, one iteration per dispatch, so an exit ends a block.
     """
     forward = _ForwardState()
     body: list[str] = []
-    for k, (instruction, address) in enumerate(entries):
-        emitted = _emit_instruction(instruction, address, forward)
-        if emitted is None:
-            body.append(f"_o[{k}]()")
-            forward.clear()  # the closure's effects are opaque here
-        else:
-            body.extend(emitted)
+    for instruction, address in entries:
+        body += _emit_instruction(instruction, address, forward)
     if branch_entry is None:
-        return _wrap_superop(body + [f"return {end}"]), _M_INLINE, None
-    terminator = _emit_terminator(*branch_entry, end)
-    slot_lines = (
-        _emit_instruction(*slot_entry, forward) if terminator is not None else None
-    )
-    if terminator is None or slot_lines is None:
-        return _wrap_superop(body or ["pass"]), _M_CLOSURE, None
-    setup, return_expr, conditional_target = terminator
-    if conditional_target == pc and conditional_target is not None:
+        return _wrap_superop(body + [f"return {end}"]), _M_INLINE
+    setup, return_expr, conditional_target = _emit_terminator(*branch_entry, end)
+    slot_lines = _emit_instruction(*slot_entry, forward)
+    if conditional_target == pc and slot_entry[0].mnemonic not in ("syscall", "break"):
         # Self-loop: re-emit with FP pair loads hoisted above the loop.
         # The first emission pass doubles as the discovery pass: a pair
         # whose first access was a read (load before any write) gets its
@@ -816,13 +801,12 @@ def _block_source(
         # Pairs only ever written as doubles, never touched word-wise,
         # keep their value in a local: the pack + two word stores move
         # from the loop body to the exit branch.  Overlapping pairs (odd
-        # bases alias even ones) and blocks with opaque fallback ops
-        # fall back to the immediate write, which is always correct.
+        # bases alias even ones) fall back to the immediate write, which
+        # is always correct.
         sinkable = frozenset(
             p
             for p in forward.double_writes
-            if not forward.opaque
-            and p not in forward.raw
+            if p not in forward.raw
             and p + 1 not in forward.raw
             and p - 1 not in forward.double_writes
             and p + 1 not in forward.double_writes
@@ -832,13 +816,8 @@ def _block_source(
         prelude: list[str] = []
         seeds = {p: state.ensure_double(prelude, p) for p in seedable}
         loop_body: list[str] = []
-        for k, (instruction, address) in enumerate(entries):
-            emitted = _emit_instruction(instruction, address, state)
-            if emitted is None:
-                loop_body.append(f"_o[{k}]()")
-                state.clear()
-            else:
-                loop_body.extend(emitted)
+        for instruction, address in entries:
+            loop_body += _emit_instruction(instruction, address, state)
         loop_setup, _, _ = _emit_terminator(*branch_entry)
         loop_slot = _emit_instruction(*slot_entry, state)
         rotations = [
@@ -866,9 +845,9 @@ def _block_source(
         lines = prelude + ["k = 0", "while True:"] + [
             "    " + line for line in inner
         ]
-        return _wrap_superop(lines, loop=True), _M_LOOP, conditional_target
+        return _wrap_superop(lines, loop=True), _M_LOOP
     lines = body + setup + slot_lines + [f"return {return_expr}"]
-    return _wrap_superop(lines), _M_INLINE, None
+    return _wrap_superop(lines), _M_INLINE
 
 
 class Machine:
@@ -902,25 +881,33 @@ class Machine:
         self.fcc: list[int] = [0]  # FP condition flag
         self._output: list[str] = []
         self._stats: list[int] = [0]  # [data_access_count]
-        if self.block_mode:
-            self._ops = _LazyOps(
-                self._compile, program.instructions, program.text_base
-            )
-        else:
-            self._ops = [
-                self._compile(instruction, program.text_base + 4 * index)
-                for index, instruction in enumerate(program.instructions)
-            ]
+        # Globals of every generated function: the default arguments in
+        # _SU_BINDINGS bind architectural state from here.
+        self._namespace = {
+            "_R": self.regs,
+            "_F": self.fpr,
+            "_HL": self.hilo,
+            "_CC": self.fcc,
+            "_D": self.memory.data,
+            "_ST": self._stats,
+            "_SC": self._syscall,
+            "_EE": ExecutionError,
+            "_F32": _F32,
+            "_U32": _U32,
+            "_F64": _F64,
+            "_U64": _U64,
+        }
+        # One-instruction functions by pc, built on first touch (the
+        # reference engine, and the superop engine's single steps).
+        self._steps = _Steps(self._step)
         # Superop-engine state, built lazily on the first block-mode run.
         self._leaders: set[int] | None = None
         self._shared = _program_cache(program) if self.block_mode else None
-        self._blocks: list[_Block] = []
-        # Dispatch records keyed by entry pc.  The tuple layout varies by
-        # mode (record[3]): (n, superop, block_id, 1) for compiled blocks
-        # returning the next pc, (n, superop, block_id, 3, head, end,
-        # pattern) for generated loops, (n, fn, block_id, 0, end) for
-        # fall-through warmups, (n, fn, block_id, 2, branch, slot, end)
-        # for closure terminators.  ``False`` marks unfusable entries.
+        self._block_addresses: list[np.ndarray] = []  # by block id
+        # Dispatch records keyed by entry pc: (n, superop, block_id,
+        # _M_INLINE) for blocks returning the next pc, (n, superop,
+        # block_id, _M_LOOP, head, end, pattern) for generated loops.
+        # ``False`` marks entries where no block can start.
         self._record_at: dict[int, tuple | bool] = {}
         self._single_id_at: dict[int, int] = {}  # pc -> singleton block id
 
@@ -941,10 +928,10 @@ class Machine:
                 instead of raising :class:`~repro.errors.ExecutionError`.
 
         The basic-block superop engine (the default) and the
-        per-instruction interpreter (``block_mode=False`` or
-        ``CCRP_EXECUTOR=simple``) produce identical results — trace
-        bytes, registers, output, and stall cycles — property-tested
-        against each other across the workload suite.
+        per-instruction stepping engine (``block_mode=False`` or
+        ``CCRP_REFERENCE=1``) produce identical results — trace bytes,
+        registers, output, and stall cycles — property-tested against
+        each other across the workload suite.
         """
         if self.block_mode:
             return self._run_blocks(max_instructions, stop_at_limit)
@@ -953,11 +940,11 @@ class Machine:
     def _run_simple(
         self, max_instructions: int, stop_at_limit: bool
     ) -> ExecutionResult:
-        """The reference per-instruction interpreter loop."""
+        """The reference loop: one generated function per instruction."""
         program = self.program
-        ops = self._ops
+        steps = self._steps
         base = program.text_base
-        top = base + len(ops) * 4
+        top = base + len(program.instructions) * 4
         trace: list[int] = []
         append = trace.append
         pc = program.entry
@@ -969,7 +956,7 @@ class Machine:
                 if not base <= pc < top:
                     raise ExecutionError(f"PC {pc:#x} outside text segment")
                 append(pc)
-                target = ops[(pc - base) >> 2]()
+                target = steps[pc]()
                 executed += 1
                 pc = npc
                 npc = pc + 4 if target is None else target
@@ -992,6 +979,31 @@ class Machine:
         )
         return self._result(execution_trace, executed, stall_cycles, exit_code)
 
+    def _step(self, pc: int):
+        """Build the one-instruction function at ``pc``."""
+        instruction = self.program.instructions[(pc - self.program.text_base) >> 2]
+        return self._define(_to_code(_step_source(instruction, pc), pc))
+
+    def _define(self, code):
+        """The ``_su`` function defined by a compiled superop or step."""
+        exec(code, self._namespace)
+        return self._namespace["_su"]
+
+    def _syscall(self, pc: int) -> None:
+        """SPIM-style services; the exit service raises :class:`_Halt`."""
+        service = self.regs[2]
+        argument = self.regs[4]
+        if service == 10:
+            raise _Halt(argument)
+        if service == 1:
+            self._output.append(str(argument - ((argument & 0x8000_0000) << 1)))
+        elif service == 4:
+            self._output.append(self.memory.read_string(argument))
+        elif service == 11:
+            self._output.append(chr(argument & 0xFF))
+        else:
+            raise ExecutionError(f"unsupported syscall {service} at {pc:#x}")
+
     # ------------------------------------------------------------------
     # Basic-block superop engine
     # ------------------------------------------------------------------
@@ -1006,13 +1018,13 @@ class Machine:
         blocks; anything unusual — a pending branch target from a delay
         slot, a block bigger than the remaining instruction budget, a
         control transfer with no in-text delay slot — falls back to
-        single-instruction events with the reference loop's exact
-        semantics, so the two engines are equivalent by construction.
+        single-instruction events stepped exactly like the reference
+        loop.
         """
         program = self.program
-        ops = self._ops
+        steps = self._steps
         base = program.text_base
-        top = base + len(ops) * 4
+        top = base + len(program.instructions) * 4
         get_record = self._record_at.get
         events: list[int] = []
         append = events.append
@@ -1033,45 +1045,29 @@ class Machine:
                         n = record[0]
                         remaining = max_instructions - executed
                         if n <= remaining:
-                            mode = record[3]
-                            if mode == 1:  # compiled: returns the next pc
+                            if record[3] == 0:  # _M_INLINE: returns the next pc
                                 append(record[2])
                                 executed += n
                                 pc = record[1]()
-                                npc = pc + 4
-                            elif mode == 3:  # generated loop (self or chain)
+                            else:  # _M_LOOP (self or chain)
                                 k = record[1](remaining // n)
                                 if k < 0:
                                     k = -k
                                     pc = record[4]  # taken: back to the head
                                 else:
                                     pc = record[5]
-                                npc = pc + 4
                                 executed += k * n
                                 pattern = record[6]
                                 if k == 1:
                                     extend(pattern)
                                 else:
                                     extend(pattern * k)
-                            elif mode == 0:  # fall-through warmup
-                                append(record[2])
-                                executed += n
-                                record[1]()
-                                pc = record[4]
-                                npc = pc + 4
-                            else:  # closure terminator (warmup/fallback)
-                                append(record[2])
-                                executed += n
-                                record[1]()
-                                taken = record[4]()
-                                slot_target = record[5]()
-                                pc = record[6] if taken is None else taken
-                                npc = pc + 4 if slot_target is None else slot_target
+                            npc = pc + 4
                             continue
                 # Single-step fallback: exact per-instruction semantics.
                 append(self._single_id(pc))
                 executed += 1
-                target = ops[(pc - base) >> 2]()
+                target = steps[pc]()
                 pc = npc
                 npc = pc + 4 if target is None else target
             if not stop_at_limit:
@@ -1079,15 +1075,15 @@ class Machine:
                     f"instruction limit {max_instructions} reached without exit"
                 )
         except _Halt as halt:
-            # The exit syscall always ends its block, so the pre-counted
-            # event totals are exact through the halting instruction.
+            # A syscall is always the last instruction of its block, so
+            # the pre-counted event totals are exact through the halting
+            # instruction.
             exit_code = halt.exit_code
 
-        if self._shared is not None:
-            _store_shared(program, self._shared)
+        _store_shared(program, self._shared)
         block_trace = BlockTrace(
             events=np.array(events, dtype=np.int32),
-            block_addresses=tuple(block.addresses for block in self._blocks),
+            block_addresses=tuple(self._block_addresses),
             text_base=program.text_base,
             text_size=len(program.text),
         )
@@ -1125,57 +1121,43 @@ class Machine:
             registers=tuple(self.regs),
         )
 
-    def _make_block(self, pc: int) -> int:
-        """Build and register the fused block entered at ``pc``.
+    def _make_block(self, pc: int) -> tuple | bool:
+        """Carve, compile and register the block entered at ``pc``.
 
-        Returns the block's dispatch record, or ``False`` when no
-        multi-instruction block can start here (a control transfer whose
-        delay slot falls outside the text segment) — the engine then
-        single-steps.
+        Returns the block's dispatch record, or ``False`` when no block
+        can start here (a control transfer whose delay slot falls
+        outside the text segment) — the engine then single-steps.
         """
         if self._leaders is None:
             shared = self._shared
-            if shared is not None and shared["leaders"] is not None:
-                self._leaders = shared["leaders"]
-            else:
-                self._leaders = find_leaders(
+            if shared["leaders"] is None:
+                shared["leaders"] = find_leaders(
                     self.program.instructions,
                     self.program.text_base,
                     split_after_syscalls=True,
                 )
-                if shared is not None:
-                    shared["leaders"] = self._leaders
-                    shared["dirty"] = True
+                shared["dirty"] = True
+            self._leaders = shared["leaders"]
         base = self.program.text_base
-        top = base + len(self._ops) * 4
         instructions = self.program.instructions
+        top = base + len(instructions) * 4
         leaders = self._leaders
-        ops: list = []
         entries: list[tuple[Instruction, int]] = []
-        address = pc
-        kind = _FALL
-        branch_op = None
-        slot_op = None
         branch_entry: tuple[Instruction, int] | None = None
         slot_entry: tuple[Instruction, int] | None = None
-        end = pc
+        address = end = pc
         while address < top:
             instruction = instructions[(address - base) >> 2]
             if instruction.spec.is_control_transfer:
-                if address + 8 > top:
-                    # No in-text delay slot: leave the transfer to the
-                    # single-step path (it will fault like the reference
-                    # loop when control runs off the segment).
-                    end = address
-                    break
-                kind = _BRANCH
-                branch_op = self._ops[(address - base) >> 2]
-                slot_op = self._ops[(address + 4 - base) >> 2]
-                branch_entry = (instruction, address)
-                slot_entry = (instructions[(address + 4 - base) >> 2], address + 4)
-                end = address + 8
+                if address + 8 <= top:
+                    branch_entry = (instruction, address)
+                    slot = instructions[(address + 4 - base) >> 2]
+                    slot_entry = (slot, address + 4)
+                    end = address + 8
+                # else: no in-text delay slot; the single-step path runs
+                # the transfer (and faults like the reference loop when
+                # control runs off the segment).
                 break
-            ops.append(self._ops[(address - base) >> 2])
             entries.append((instruction, address))
             address += 4
             end = address
@@ -1183,62 +1165,26 @@ class Machine:
                 break
             if address in leaders:
                 break
-        addresses = np.arange(pc, end, 4, dtype=np.uint32)
-        if len(addresses) == 0:
-            self._record_at[pc] = False
-            return False
-        fused_ops = tuple(ops)
-        block = _Block(
-            kind=kind,
-            ops=fused_ops,
-            superop=None,
-            branch=branch_op,
-            slot=slot_op,
-            addresses=addresses,
-            end=end,
-        )
-        block_id = len(self._blocks)
-        self._blocks.append(block)
-        # Register before fusing: building a fused loop record calls
-        # back into _make_block for the loop's member blocks, which must
-        # see this block instead of re-scanning it.
+        # Unfusable until fused: building a loop record calls back into
+        # _make_block for the loop's member blocks, which must see this
+        # block instead of re-scanning it.
         self._record_at[pc] = False
-        codes = self._shared["codes"] if self._shared is not None else {}
-        if pc in codes:
-            # Another machine already compiled this block: fuse for free.
-            record = self._fuse(
-                pc, entries, branch_entry, slot_entry, fused_ops, block.n,
-                end, branch_op, slot_op, block_id,
+        if end == pc:
+            return False
+        block_id = len(self._block_addresses)
+        self._block_addresses.append(np.arange(pc, end, 4, dtype=np.uint32))
+        codes = self._shared["codes"]
+        entry = codes.get(pc) or self._fuse_block(
+            pc, entries, branch_entry, slot_entry, end
+        )
+        record = self._record(pc, entry, block_id)
+        if record is None:
+            # A loop member stopped being fusable (stale cache entry):
+            # recompile as a plain block.
+            entry = self._fuse_block(
+                pc, entries, branch_entry, slot_entry, end, allow_chain=False
             )
-            block.superop = record[1]
-        else:
-            # Defer compilation until the block proves hot; cold blocks
-            # run the closure loop, which is cheaper than compiling.  The
-            # warmup record keeps closure-terminator semantics; the fused
-            # record installed at the threshold takes over from the
-            # *next* dispatch (this dispatch already read the old record,
-            # so its branch/slot closures still run).
-            budget = [max(_FUSE_MIN_EXECUTIONS, _FUSE_INSTRUCTIONS // block.n)]
-
-            def warmup():
-                budget[0] -= 1
-                if budget[0] <= 0:
-                    fused = self._fuse(
-                        pc, entries, branch_entry, slot_entry, fused_ops,
-                        block.n, end, branch_op, slot_op, block_id,
-                    )
-                    block.superop = fused[1]
-                    self._record_at[pc] = fused
-                for op in fused_ops:
-                    op()
-
-            if branch_op is None:
-                record = (block.n, warmup, block_id, _M_FALL, end)
-            else:
-                record = (
-                    block.n, warmup, block_id, _M_CLOSURE,
-                    branch_op, slot_op, end,
-                )
+            record = self._record(pc, entry, block_id)
         self._record_at[pc] = record
         return record
 
@@ -1246,96 +1192,34 @@ class Machine:
     _CHAIN_MAX_BLOCKS = 8
     _CHAIN_MAX_INSTRUCTIONS = 512
 
-    def _fuse(
-        self,
-        pc: int,
-        entries: list[tuple[Instruction, int]],
-        branch_entry: tuple[Instruction, int] | None,
-        slot_entry: tuple[Instruction, int] | None,
-        ops: tuple,
-        n: int,
-        end: int,
-        branch_op,
-        slot_op,
-        block_id: int,
-    ) -> tuple:
-        """Compile one block into a single function; return its record.
-
-        Code objects (plus dispatch mode and loop payload) are shared
-        across machines running the same program; a generator bug
-        surfacing as a compile error degrades to looping over the
-        closures, never to wrong execution.
-        """
-        codes = self._shared["codes"] if self._shared is not None else {}
-        cached = codes.get(pc)
-        if cached is None:
-            cached = self._compile_block(
-                pc, entries, branch_entry, slot_entry, end, codes
-            )
-            if cached is None:  # pragma: no cover - emitter bug safety net
-                def runner():
-                    for op in ops:
-                        op()
-                if branch_op is None:
-                    return (n, runner, block_id, _M_FALL, end)
-                return (n, runner, block_id, _M_CLOSURE, branch_op, slot_op, end)
-        code, mode, payload = cached
-        if mode == _M_LOOP:
-            record = self._loop_record(pc, code, payload, block_id)
-            if record is not None:
-                return record
-            # A member block stopped being fusable (stale cache entry):
-            # recompile as a plain block.
-            del codes[pc]
-            cached = self._compile_block(
-                pc, entries, branch_entry, slot_entry, end, codes,
-                allow_chain=False,
-            )
-            if cached is None:  # pragma: no cover - emitter bug safety net
-                def runner():
-                    for op in ops:
-                        op()
-                return (n, runner, block_id, _M_FALL, end)
-            code, mode, payload = cached
-        namespace = self._superop_namespace(ops)
-        exec(code, namespace)
-        superop = namespace["_su"]
-        if mode == _M_LOOP:
-            loop_n, loop_end, _ = payload
-            return (loop_n, superop, block_id, _M_LOOP, pc, loop_end, [block_id])
-        if mode == _M_CLOSURE:
-            return (n, superop, block_id, _M_CLOSURE, branch_op, slot_op, end)
-        return (n, superop, block_id, _M_INLINE)
-
-    def _compile_block(
+    def _fuse_block(
         self,
         pc: int,
         entries: list[tuple[Instruction, int]],
         branch_entry: tuple[Instruction, int] | None,
         slot_entry: tuple[Instruction, int] | None,
         end: int,
-        codes: dict,
         allow_chain: bool = True,
-    ) -> tuple | None:
-        """Compile the block (or the loop it heads) into ``codes[pc]``.
+    ) -> tuple:
+        """Compile the block (or the loop it heads) into the shared codes.
 
-        Returns the stored ``(code, mode, payload)`` entry, or ``None``
-        when compilation failed.  Loop payloads are ``(n, end, starts)``
-        — instructions per iteration, the not-taken exit address, and
-        the member-block start addresses (head first).
+        Returns the stored ``(code, mode, payload)`` entry.  Code objects
+        (plus dispatch mode and payload) are shared across machines
+        running the same program.  An inline payload is the block's
+        instruction count; a loop payload is ``(n, end, starts)`` —
+        instructions per iteration, the not-taken exit address, and the
+        member-block start addresses (head first).
         """
-        source = mode = target = None
-        payload: object = None
+        source = None
         if (
             allow_chain
             and branch_entry is None
-            and entries
             and entries[-1][0].mnemonic not in ("syscall", "break")
         ):
             chain = self._find_chain(pc, end)
             if chain is not None:
                 extra, c_branch, c_slot, starts, loop_end = chain
-                source, mode, target = _block_source(
+                source, mode = _block_source(
                     entries + extra, c_branch, c_slot, pc, loop_end
                 )
                 if mode == _M_LOOP:
@@ -1344,20 +1228,15 @@ class Machine:
                         loop_end,
                         tuple(starts),
                     )
-                else:  # the loop's delay slot defeated inlining
+                else:  # a syscall or break in the loop's delay slot
                     source = None
         if source is None:
-            source, mode, target = _block_source(
-                entries, branch_entry, slot_entry, pc, end
-            )
-            payload = (len(entries) + 2, end, (pc,)) if mode == _M_LOOP else target
-        try:
-            code = compile(source, f"<superop:{pc:#x}>", "exec")
-        except Exception:  # pragma: no cover - emitter bug safety net
-            return None
-        entry = codes[pc] = (code, mode, payload)
-        if self._shared is not None:
-            self._shared["dirty"] = True
+            source, mode = _block_source(entries, branch_entry, slot_entry, pc, end)
+            n = (end - pc) >> 2
+            payload = (n, end, (pc,)) if mode == _M_LOOP else n
+        entry = (_to_code(source, pc), mode, payload)
+        self._shared["codes"][pc] = entry
+        self._shared["dirty"] = True
         return entry
 
     def _find_chain(self, pc: int, end: int) -> tuple | None:
@@ -1366,14 +1245,14 @@ class Machine:
         Walks the blocks following the head block ``[pc, end)`` exactly
         as :meth:`_make_block` would carve them.  A simple loop — pure
         fall-through members ending in a conditional branch back to the
-        head, with an emittable delay slot — returns ``(extra entries,
-        branch entry, slot entry, member starts, end past the slot)``;
-        anything else (side exits, syscalls, indirect jumps, a region
-        over the size bounds) returns ``None``.
+        head — returns ``(extra entries, branch entry, slot entry, member
+        starts, end past the slot)``; anything else (side exits,
+        syscalls, indirect jumps, a region over the size bounds) returns
+        ``None``.
         """
         base = self.program.text_base
-        top = base + len(self._ops) * 4
         instructions = self.program.instructions
+        top = base + len(instructions) * 4
         leaders = self._leaders
         starts = [pc]
         extra: list[tuple[Instruction, int]] = []
@@ -1386,16 +1265,12 @@ class Machine:
                 if instruction.spec.is_control_transfer:
                     if address + 8 > top:
                         return None  # delay slot outside the text segment
-                    terminator = _emit_terminator(instruction, address)
-                    if terminator is None or terminator[2] != pc:
+                    if _emit_terminator(instruction, address)[2] != pc:
                         return None  # not a conditional branch to the head
-                    slot_instruction = instructions[(address + 4 - base) >> 2]
-                    if _emit_instruction(slot_instruction, address + 4) is None:
-                        return None
                     return (
                         extra,
                         (instruction, address),
-                        (slot_instruction, address + 4),
+                        (instructions[(address + 4 - base) >> 2], address + 4),
                         starts,
                         address + 8,
                     )
@@ -1410,15 +1285,17 @@ class Machine:
                     break  # the next chain member starts here
         return None
 
-    def _loop_record(self, pc: int, code, payload: tuple, block_id: int) -> tuple:
-        """Dispatch record for a compiled loop superop headed at ``pc``.
+    def _record(self, pc: int, entry: tuple, block_id: int) -> tuple | None:
+        """Dispatch record for the compiled block or loop headed at ``pc``.
 
-        Builds the loop's member blocks (so their trace events resolve)
-        and binds the closure tuple spanning the whole contiguous loop
-        body.  Returns ``None`` if a member is unfusable — only possible
-        for a stale cache entry, never for a loop found by
+        A loop's member blocks are built too, so their trace events
+        resolve.  Returns ``None`` if a member is unfusable — only
+        possible for a stale cache entry, never for a loop found by
         :meth:`_find_chain` this run.
         """
+        code, mode, payload = entry
+        if mode == _M_INLINE:
+            return (payload, self._define(code), block_id, _M_INLINE)
         n, end, starts = payload
         pattern = [block_id]
         for start in starts[1:]:
@@ -1428,607 +1305,12 @@ class Machine:
             if member is False:
                 return None
             pattern.append(member[2])
-        base = self.program.text_base
-        combined = tuple(
-            self._ops[(pc - base) >> 2 : (end - 8 - base) >> 2]
-        )
-        namespace = self._superop_namespace(combined)
-        exec(code, namespace)
-        return (n, namespace["_su"], block_id, _M_LOOP, pc, end, pattern)
-
-    def _superop_namespace(self, ops: tuple) -> dict:
-        return {
-            "_R": self.regs,
-            "_F": self.fpr,
-            "_HL": self.hilo,
-            "_CC": self.fcc,
-            "_D": self.memory.data,
-            "_ST": self._stats,
-            "_O": ops,
-            "_EE": ExecutionError,
-            "_F32": _F32,
-            "_U32": _U32,
-            "_F64": _F64,
-            "_U64": _U64,
-        }
+        return (n, self._define(code), block_id, _M_LOOP, pc, end, pattern)
 
     def _single_id(self, pc: int) -> int:
         """Block id of the one-instruction event at ``pc`` (cached)."""
         single_id = self._single_id_at.get(pc)
         if single_id is None:
-            block = _Block(
-                kind=_FALL,
-                ops=(),
-                superop=None,
-                branch=None,
-                slot=None,
-                addresses=np.array([pc], dtype=np.uint32),
-                end=pc + 4,
-            )
-            single_id = len(self._blocks)
-            self._blocks.append(block)
-            self._single_id_at[pc] = single_id
+            single_id = self._single_id_at[pc] = len(self._block_addresses)
+            self._block_addresses.append(np.array([pc], dtype=np.uint32))
         return single_id
-
-    # ------------------------------------------------------------------
-    # Instruction compilation
-    # ------------------------------------------------------------------
-
-    def _compile(self, instruction: Instruction, pc: int):
-        """Build the closure executing ``instruction`` located at ``pc``.
-
-        The closure returns the branch/jump target when control transfers,
-        otherwise ``None``.
-        """
-        m = instruction.mnemonic
-        regs = self.regs
-        fpr = self.fpr
-        hilo = self.hilo
-        fcc = self.fcc
-        data = self.memory.data
-        stats = self._stats
-        rs, rt, rd = instruction.rs, instruction.rt, instruction.rd
-        shamt = instruction.shamt
-        imm = instruction.imm_signed
-        uimm = instruction.imm_unsigned
-
-        # --- integer R-type --------------------------------------------
-        if m in ("add", "addu"):
-            def op():
-                if rd:
-                    regs[rd] = (regs[rs] + regs[rt]) & _WORD_MASK
-            return op
-        if m in ("sub", "subu"):
-            def op():
-                if rd:
-                    regs[rd] = (regs[rs] - regs[rt]) & _WORD_MASK
-            return op
-        if m == "and":
-            def op():
-                if rd:
-                    regs[rd] = regs[rs] & regs[rt]
-            return op
-        if m == "or":
-            def op():
-                if rd:
-                    regs[rd] = regs[rs] | regs[rt]
-            return op
-        if m == "xor":
-            def op():
-                if rd:
-                    regs[rd] = regs[rs] ^ regs[rt]
-            return op
-        if m == "nor":
-            def op():
-                if rd:
-                    regs[rd] = ~(regs[rs] | regs[rt]) & _WORD_MASK
-            return op
-        if m == "slt":
-            def op():
-                if rd:
-                    regs[rd] = 1 if _signed(regs[rs]) < _signed(regs[rt]) else 0
-            return op
-        if m == "sltu":
-            def op():
-                if rd:
-                    regs[rd] = 1 if regs[rs] < regs[rt] else 0
-            return op
-        if m == "sll":
-            def op():
-                if rd:
-                    regs[rd] = (regs[rt] << shamt) & _WORD_MASK
-            return op
-        if m == "srl":
-            def op():
-                if rd:
-                    regs[rd] = regs[rt] >> shamt
-            return op
-        if m == "sra":
-            def op():
-                if rd:
-                    regs[rd] = (_signed(regs[rt]) >> shamt) & _WORD_MASK
-            return op
-        if m == "sllv":
-            def op():
-                if rd:
-                    regs[rd] = (regs[rt] << (regs[rs] & 31)) & _WORD_MASK
-            return op
-        if m == "srlv":
-            def op():
-                if rd:
-                    regs[rd] = regs[rt] >> (regs[rs] & 31)
-            return op
-        if m == "srav":
-            def op():
-                if rd:
-                    regs[rd] = (_signed(regs[rt]) >> (regs[rs] & 31)) & _WORD_MASK
-            return op
-
-        # --- HI/LO and multiply/divide ----------------------------------
-        if m == "mult":
-            def op():
-                product = _signed(regs[rs]) * _signed(regs[rt])
-                hilo[0] = (product >> 32) & _WORD_MASK
-                hilo[1] = product & _WORD_MASK
-            return op
-        if m == "multu":
-            def op():
-                product = regs[rs] * regs[rt]
-                hilo[0] = (product >> 32) & _WORD_MASK
-                hilo[1] = product & _WORD_MASK
-            return op
-        if m == "div":
-            def op():
-                dividend, divisor = _signed(regs[rs]), _signed(regs[rt])
-                if divisor == 0:
-                    hilo[0] = hilo[1] = 0  # UNPREDICTABLE on hardware
-                else:
-                    quotient = int(dividend / divisor)  # truncate toward zero
-                    hilo[1] = quotient & _WORD_MASK
-                    hilo[0] = (dividend - quotient * divisor) & _WORD_MASK
-            return op
-        if m == "divu":
-            def op():
-                if regs[rt] == 0:
-                    hilo[0] = hilo[1] = 0
-                else:
-                    hilo[1] = regs[rs] // regs[rt]
-                    hilo[0] = regs[rs] % regs[rt]
-            return op
-        if m == "mfhi":
-            def op():
-                if rd:
-                    regs[rd] = hilo[0]
-            return op
-        if m == "mflo":
-            def op():
-                if rd:
-                    regs[rd] = hilo[1]
-            return op
-        if m == "mthi":
-            def op():
-                hilo[0] = regs[rs]
-            return op
-        if m == "mtlo":
-            def op():
-                hilo[1] = regs[rs]
-            return op
-
-        # --- I-type ALU ---------------------------------------------------
-        if m in ("addi", "addiu"):
-            def op():
-                if rt:
-                    regs[rt] = (regs[rs] + imm) & _WORD_MASK
-            return op
-        if m == "slti":
-            def op():
-                if rt:
-                    regs[rt] = 1 if _signed(regs[rs]) < imm else 0
-            return op
-        if m == "sltiu":
-            def op():
-                if rt:
-                    regs[rt] = 1 if regs[rs] < (imm & _WORD_MASK) else 0
-            return op
-        if m == "andi":
-            def op():
-                if rt:
-                    regs[rt] = regs[rs] & uimm
-            return op
-        if m == "ori":
-            def op():
-                if rt:
-                    regs[rt] = regs[rs] | uimm
-            return op
-        if m == "xori":
-            def op():
-                if rt:
-                    regs[rt] = regs[rs] ^ uimm
-            return op
-        if m == "lui":
-            value = (uimm << 16) & _WORD_MASK
-            def op():
-                if rt:
-                    regs[rt] = value
-            return op
-
-        # --- loads / stores -------------------------------------------------
-        if m == "lw":
-            def op():
-                stats[0] += 1
-                address = (regs[rs] + imm) & _MEM_MASK
-                if address & 3:
-                    raise ExecutionError(f"unaligned lw at {address:#x} (pc {pc:#x})")
-                if rt:
-                    regs[rt] = (
-                        (data[address] << 24)
-                        | (data[address + 1] << 16)
-                        | (data[address + 2] << 8)
-                        | data[address + 3]
-                    )
-            return op
-        if m == "sw":
-            def op():
-                stats[0] += 1
-                address = (regs[rs] + imm) & _MEM_MASK
-                if address & 3:
-                    raise ExecutionError(f"unaligned sw at {address:#x} (pc {pc:#x})")
-                value = regs[rt]
-                data[address] = (value >> 24) & 0xFF
-                data[address + 1] = (value >> 16) & 0xFF
-                data[address + 2] = (value >> 8) & 0xFF
-                data[address + 3] = value & 0xFF
-            return op
-        if m == "lb":
-            def op():
-                stats[0] += 1
-                value = data[(regs[rs] + imm) & _MEM_MASK]
-                if rt:
-                    regs[rt] = value - 256 if value & 0x80 else value
-                    regs[rt] &= _WORD_MASK
-            return op
-        if m == "lbu":
-            def op():
-                stats[0] += 1
-                if rt:
-                    regs[rt] = data[(regs[rs] + imm) & _MEM_MASK]
-            return op
-        if m == "sb":
-            def op():
-                stats[0] += 1
-                data[(regs[rs] + imm) & _MEM_MASK] = regs[rt] & 0xFF
-            return op
-        if m == "lh":
-            def op():
-                stats[0] += 1
-                address = (regs[rs] + imm) & _MEM_MASK
-                if address & 1:
-                    raise ExecutionError(f"unaligned lh at {address:#x} (pc {pc:#x})")
-                value = (data[address] << 8) | data[address + 1]
-                if rt:
-                    regs[rt] = (value - 0x10000 if value & 0x8000 else value) & _WORD_MASK
-            return op
-        if m == "lhu":
-            def op():
-                stats[0] += 1
-                address = (regs[rs] + imm) & _MEM_MASK
-                if address & 1:
-                    raise ExecutionError(f"unaligned lhu at {address:#x} (pc {pc:#x})")
-                if rt:
-                    regs[rt] = (data[address] << 8) | data[address + 1]
-            return op
-        if m == "sh":
-            def op():
-                stats[0] += 1
-                address = (regs[rs] + imm) & _MEM_MASK
-                if address & 1:
-                    raise ExecutionError(f"unaligned sh at {address:#x} (pc {pc:#x})")
-                data[address] = (regs[rt] >> 8) & 0xFF
-                data[address + 1] = regs[rt] & 0xFF
-            return op
-
-        # --- unaligned-access pairs (big-endian LWL/LWR/SWL/SWR) --------
-        def _read_aligned(address: int) -> int:
-            base = address & ~3
-            return (
-                (data[base] << 24)
-                | (data[base + 1] << 16)
-                | (data[base + 2] << 8)
-                | data[base + 3]
-            )
-
-        def _write_aligned(address: int, value: int) -> None:
-            base = address & ~3
-            data[base] = (value >> 24) & 0xFF
-            data[base + 1] = (value >> 16) & 0xFF
-            data[base + 2] = (value >> 8) & 0xFF
-            data[base + 3] = value & 0xFF
-
-        if m == "lwl":
-            def op():
-                stats[0] += 1
-                address = (regs[rs] + imm) & _MEM_MASK
-                offset = address & 3
-                word = _read_aligned(address)
-                if rt:
-                    keep = (1 << (8 * offset)) - 1
-                    regs[rt] = ((word << (8 * offset)) & _WORD_MASK) | (regs[rt] & keep)
-            return op
-        if m == "lwr":
-            def op():
-                stats[0] += 1
-                address = (regs[rs] + imm) & _MEM_MASK
-                offset = address & 3
-                word = _read_aligned(address)
-                if rt:
-                    mask = (1 << (8 * (offset + 1))) - 1
-                    regs[rt] = (regs[rt] & ~mask & _WORD_MASK) | (
-                        (word >> (8 * (3 - offset))) & mask
-                    )
-            return op
-        if m == "swl":
-            def op():
-                stats[0] += 1
-                address = (regs[rs] + imm) & _MEM_MASK
-                offset = address & 3
-                word = _read_aligned(address)
-                low_mask = (1 << (8 * (4 - offset))) - 1
-                merged = (word & ~low_mask & _WORD_MASK) | (regs[rt] >> (8 * offset))
-                _write_aligned(address, merged)
-            return op
-        if m == "swr":
-            def op():
-                stats[0] += 1
-                address = (regs[rs] + imm) & _MEM_MASK
-                offset = address & 3
-                word = _read_aligned(address)
-                keep = (1 << (8 * (3 - offset))) - 1
-                merged = (word & keep) | (
-                    (regs[rt] << (8 * (3 - offset))) & _WORD_MASK & ~keep
-                )
-                _write_aligned(address, merged)
-            return op
-
-        # --- branches ---------------------------------------------------------
-        branch_target = (pc + 4 + (imm << 2)) & _MEM_MASK
-        if m == "beq":
-            def op():
-                return branch_target if regs[rs] == regs[rt] else None
-            return op
-        if m == "bne":
-            def op():
-                return branch_target if regs[rs] != regs[rt] else None
-            return op
-        if m == "blez":
-            def op():
-                return branch_target if _signed(regs[rs]) <= 0 else None
-            return op
-        if m == "bgtz":
-            def op():
-                return branch_target if _signed(regs[rs]) > 0 else None
-            return op
-        if m == "bltz":
-            def op():
-                return branch_target if regs[rs] & 0x8000_0000 else None
-            return op
-        if m == "bgez":
-            def op():
-                return None if regs[rs] & 0x8000_0000 else branch_target
-            return op
-        if m in ("bltzal", "bgezal"):
-            link = (pc + 8) & _MEM_MASK
-            negative = m == "bltzal"
-            def op():
-                regs[31] = link
-                taken = bool(regs[rs] & 0x8000_0000) == negative
-                return branch_target if taken else None
-            return op
-
-        # --- jumps ---------------------------------------------------------------
-        if m == "j":
-            jump_target = ((pc + 4) & 0xF000_0000) | (instruction.target << 2)
-            def op():
-                return jump_target
-            return op
-        if m == "jal":
-            jump_target = ((pc + 4) & 0xF000_0000) | (instruction.target << 2)
-            link = (pc + 8) & _MEM_MASK
-            def op():
-                regs[31] = link
-                return jump_target
-            return op
-        if m == "jr":
-            def op():
-                return regs[rs]
-            return op
-        if m == "jalr":
-            link = (pc + 8) & _MEM_MASK
-            def op():
-                target = regs[rs]
-                if rd:
-                    regs[rd] = link
-                return target
-            return op
-
-        # --- system ---------------------------------------------------------------
-        if m == "syscall":
-            output = self._output
-            memory = self.memory
-            def op():
-                service = regs[2]
-                if service == 10:
-                    raise _Halt(regs[4])
-                if service == 1:
-                    output.append(str(_signed(regs[4])))
-                elif service == 4:
-                    output.append(memory.read_string(regs[4]))
-                elif service == 11:
-                    output.append(chr(regs[4] & 0xFF))
-                else:
-                    raise ExecutionError(f"unsupported syscall {service} at {pc:#x}")
-            return op
-        if m == "break":
-            def op():
-                raise ExecutionError(f"break executed at {pc:#x}")
-            return op
-
-        # --- floating point ----------------------------------------------------------
-        if m in ("lwc1", "swc1"):
-            load = m == "lwc1"
-            def op():
-                stats[0] += 1
-                address = (regs[rs] + imm) & _MEM_MASK
-                if address & 3:
-                    raise ExecutionError(f"unaligned {m} at {address:#x} (pc {pc:#x})")
-                if load:
-                    fpr[rt] = (
-                        (data[address] << 24)
-                        | (data[address + 1] << 16)
-                        | (data[address + 2] << 8)
-                        | data[address + 3]
-                    )
-                else:
-                    value = fpr[rt]
-                    data[address] = (value >> 24) & 0xFF
-                    data[address + 1] = (value >> 16) & 0xFF
-                    data[address + 2] = (value >> 8) & 0xFF
-                    data[address + 3] = value & 0xFF
-            return op
-        if m == "mfc1":
-            def op():
-                if rt:
-                    regs[rt] = fpr[rd]
-            return op
-        if m == "mtc1":
-            def op():
-                fpr[rd] = regs[rt]
-            return op
-        if m in ("bc1t", "bc1f"):
-            expect = 1 if m == "bc1t" else 0
-            def op():
-                return branch_target if fcc[0] == expect else None
-            return op
-
-        if m.startswith(("add.", "sub.", "mul.", "div.", "abs.", "neg.", "mov.")):
-            return self._compile_fp_arith(instruction)
-        if m.startswith("cvt."):
-            return self._compile_fp_convert(instruction)
-        if m.startswith("c."):
-            return self._compile_fp_compare(instruction)
-
-        raise ExecutionError(f"no executor for mnemonic {m!r}")  # pragma: no cover
-
-    # ------------------------------------------------------------------
-    # Floating-point helpers
-    # ------------------------------------------------------------------
-
-    def _read_double(self, index: int) -> float:
-        return _bits_double((self.fpr[index] << 32) | self.fpr[index + 1])
-
-    def _write_double(self, index: int, value: float) -> None:
-        bits = _double_bits(value)
-        self.fpr[index] = (bits >> 32) & _WORD_MASK
-        self.fpr[index + 1] = bits & _WORD_MASK
-
-    def _compile_fp_arith(self, instruction: Instruction):
-        m = instruction.mnemonic
-        fpr = self.fpr
-        fd, fs, ft = instruction.shamt, instruction.rd, instruction.rt
-        double = m.endswith(".d")
-        base = m.split(".")[0]
-        read_d, write_d = self._read_double, self._write_double
-
-        if base == "mov":
-            if double:
-                def op():
-                    fpr[fd] = fpr[fs]
-                    fpr[fd + 1] = fpr[fs + 1]
-            else:
-                def op():
-                    fpr[fd] = fpr[fs]
-            return op
-        if base in ("abs", "neg"):
-            flip = base == "neg"
-            def op():
-                high = fpr[fs]
-                if flip:
-                    high ^= 0x8000_0000
-                else:
-                    high &= 0x7FFF_FFFF
-                fpr[fd] = high
-                if double:
-                    fpr[fd + 1] = fpr[fs + 1]
-            return op
-
-        if double:
-            def op():
-                a, b = read_d(fs), read_d(ft)
-                if base == "add":
-                    result = a + b
-                elif base == "sub":
-                    result = a - b
-                elif base == "mul":
-                    result = a * b
-                else:
-                    result = a / b if b != 0.0 else float("inf") * (1 if a >= 0 else -1)
-                write_d(fd, result)
-            return op
-
-        def op():
-            a, b = _bits_float(fpr[fs]), _bits_float(fpr[ft])
-            if base == "add":
-                result = a + b
-            elif base == "sub":
-                result = a - b
-            elif base == "mul":
-                result = a * b
-            else:
-                result = a / b if b != 0.0 else float("inf") * (1 if a >= 0 else -1)
-            fpr[fd] = _float_bits(result)
-        return op
-
-    def _compile_fp_convert(self, instruction: Instruction):
-        m = instruction.mnemonic
-        fpr = self.fpr
-        fd, fs = instruction.shamt, instruction.rd
-        read_d, write_d = self._read_double, self._write_double
-        _, to_kind, from_kind = m.split(".")
-
-        def read_source() -> float | int:
-            if from_kind == "d":
-                return read_d(fs)
-            if from_kind == "s":
-                return _bits_float(fpr[fs])
-            return _signed(fpr[fs])
-
-        def op():
-            value = read_source()
-            if to_kind == "d":
-                write_d(fd, float(value))
-            elif to_kind == "s":
-                fpr[fd] = _float_bits(float(value))
-            else:  # to word: truncate toward zero, C-style
-                fpr[fd] = int(value) & _WORD_MASK
-        return op
-
-    def _compile_fp_compare(self, instruction: Instruction):
-        m = instruction.mnemonic
-        fpr = self.fpr
-        fcc = self.fcc
-        fs, ft = instruction.rd, instruction.rt
-        double = m.endswith(".d")
-        condition = m.split(".")[1]
-        read_d = self._read_double
-
-        def op():
-            if double:
-                a, b = read_d(fs), read_d(ft)
-            else:
-                a, b = _bits_float(fpr[fs]), _bits_float(fpr[ft])
-            if condition == "eq":
-                fcc[0] = 1 if a == b else 0
-            elif condition == "lt":
-                fcc[0] = 1 if a < b else 0
-            else:
-                fcc[0] = 1 if a <= b else 0
-        return op

@@ -1,11 +1,19 @@
-"""Tests for the functional simulator: semantics, delay slots, tracing."""
+"""Tests for the functional simulator: semantics, delay slots, tracing.
+
+Every case is a hand-computed golden: its expected values are worked out
+from the MIPS-I definition, not from either engine.  :func:`run` executes
+each program on both engines, so the goldens are the independent check
+on the one emitter that defines instruction semantics.
+"""
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.errors import ExecutionError
 from repro.isa import Assembler, Instruction
+from repro.isa.opcodes import SPECS_BY_MNEMONIC
 from repro.machine import Machine
 
 EXIT = """
@@ -13,10 +21,56 @@ EXIT = """
     syscall
 """
 
+#: ``block_mode`` values every golden runs under: the per-instruction
+#: stepping engine and the basic-block superop engine.
+ENGINES = (False, True)
+
+#: Mnemonics some golden case has executed (see TestGoldenCoverage).
+EXECUTED_MNEMONICS: set[str] = set()
+
 
 def run(source: str, **kwargs):
+    """Run ``source`` on every engine; they must agree exactly.
+
+    Returns the last engine's result once each other engine's matches it
+    field by field (trace bytes included), so each hand-computed
+    expectation checked on the return value holds for both engines.  An
+    :class:`ExecutionError` must be raised with the same message by both.
+    """
     program = Assembler().assemble(source)
-    return Machine(program).run(**kwargs)
+    outcomes = []
+    for block_mode in ENGINES:
+        machine = Machine(program, block_mode=block_mode)
+        try:
+            outcomes.append(machine.run(**kwargs))
+        except ExecutionError as error:
+            outcomes.append(error)
+        if not block_mode:
+            # The stepping engine builds an instruction's function just
+            # before it first executes it, faulting runs included.
+            EXECUTED_MNEMONICS.update(
+                program.instructions[index].mnemonic
+                for index, step in enumerate(machine._steps)
+                if step is not None
+            )
+    last = outcomes[-1]
+    for other in outcomes[:-1]:
+        if isinstance(last, ExecutionError) or isinstance(other, ExecutionError):
+            assert type(other) is type(last) and str(other) == str(last)
+            continue
+        assert np.array_equal(other.trace.addresses, last.trace.addresses)
+        for field in (
+            "registers",
+            "output",
+            "exit_code",
+            "instructions_executed",
+            "data_accesses",
+            "stall_cycles",
+        ):
+            assert getattr(other, field) == getattr(last, field), field
+    if isinstance(last, ExecutionError):
+        raise last
+    return last
 
 
 def reg(result, number: int) -> int:
@@ -106,6 +160,49 @@ class TestIntegerArithmetic:
         result = run(f"li $zero, 55\naddiu $t0, $zero, 7\n{EXIT}")
         assert reg(result, 0) == 0
         assert reg(result, 8) == 7
+
+
+    def test_trapping_forms_wrap_like_unsigned(self):
+        result = run(
+            f"""
+            li   $t0, 0x7FFFFFFF
+            add  $t1, $t0, $t0
+            addi $t2, $t0, 1
+            sub  $t3, $zero, $t0
+            {EXIT}
+            """
+        )
+        assert reg(result, 9) == 0xFFFFFFFE
+        assert reg(result, 10) == 0x80000000
+        assert reg(result, 11) == 0x80000001  # -0x7FFFFFFF
+
+    def test_andi_xori_zero_extend_immediate(self):
+        result = run(
+            f"""
+            li   $t0, 0xFFFFFFFF
+            andi $t1, $t0, 0x8001
+            xori $t2, $t0, 0x8000
+            {EXIT}
+            """
+        )
+        assert reg(result, 9) == 0x00008001
+        assert reg(result, 10) == 0xFFFF7FFF
+
+    def test_variable_shifts_of_negative_value(self):
+        result = run(
+            f"""
+            li   $t0, -16
+            li   $t1, 2
+            srav $t2, $t0, $t1
+            srlv $t3, $t0, $t1
+            li   $t4, 34
+            srav $t5, $t0, $t4
+            {EXIT}
+            """
+        )
+        assert reg(result, 10) == 0xFFFFFFFC  # -4: sign bits shifted in
+        assert reg(result, 11) == 0x3FFFFFFC  # zeros shifted in
+        assert reg(result, 13) == 0xFFFFFFFC  # shift amount 34 & 31 == 2
 
 
 class TestMultiplyDivide:
@@ -238,6 +335,32 @@ class TestMemoryAccess:
             """
         )
         assert result.data_accesses == 3
+
+
+    def test_swl_swr_alone_merge_partial_words(self):
+        result = run(
+            f"""
+            .data
+            buf: .word 0x11223344, 0x55667788, 0
+            .text
+            la  $t0, buf
+            li  $t1, 0xAABBCCDD
+            swl $t1, 1($t0)
+            swr $t1, 6($t0)
+            swl $t1, 11($t0)
+            swr $t1, 8($t0)
+            lw  $t2, 0($t0)
+            lw  $t3, 4($t0)
+            lw  $t4, 8($t0)
+            {EXIT}
+            """
+        )
+        # swl at byte 1: the top three register bytes fill bytes 1..3.
+        assert reg(result, 10) == 0x11AABBCC
+        # swr at byte 2: the low three register bytes fill bytes 0..2.
+        assert reg(result, 11) == 0xBBCCDD88
+        # swl at byte 3 stores only the top byte; swr at byte 0 only the low one.
+        assert reg(result, 12) == 0xDD0000AA
 
 
 class TestControlFlow:
@@ -400,6 +523,38 @@ class TestControlFlow:
         assert len(result.trace) == 100
 
 
+    def test_bltzal_links_whether_or_not_taken(self):
+        result = run(
+            f"""
+            main:
+                li $t0, -1
+                li $t5, 0
+                bltzal $t0, sub
+                nop
+            ret1:
+                b next
+                nop
+            sub:
+                addiu $t5, $t5, 1
+                jr $ra
+                nop
+            next:
+                move $t6, $ra
+                li $t1, 1
+                bltzal $t1, sub
+                nop
+            ret2:
+                move $t7, $ra
+                la $s0, ret1
+                la $s1, ret2
+            {EXIT}
+            """
+        )
+        assert reg(result, 13) == 1  # called once: only the negative test
+        assert reg(result, 14) == reg(result, 16)  # linked past the slot
+        assert reg(result, 15) == reg(result, 17)  # linked though not taken
+
+
 class TestSyscalls:
     def test_print_int_and_string(self):
         result = run(
@@ -432,6 +587,57 @@ class TestSyscalls:
     def test_break_raises(self):
         with pytest.raises(ExecutionError, match="break"):
             run("break")
+
+
+    def test_print_char_uses_low_byte_and_print_int_is_signed(self):
+        result = run(
+            f"""
+            li $v0, 11
+            li $a0, 0x141
+            syscall
+            li $v0, 1
+            li $a0, -5
+            syscall
+            {EXIT}
+            """
+        )
+        assert result.output == "A-5"
+
+    def test_syscalls_in_loop_delay_slot(self):
+        result = run(
+            """
+                li $t0, 3
+                li $a0, 5
+            loop:
+                addiu $t0, $t0, -1
+                sltiu $t1, $t0, 1
+                sll   $v0, $t1, 3
+                addu  $v0, $v0, $t1
+                addiu $v0, $v0, 1       # 1 (print_int) until $t0 hits 0, then 10
+                bnez  $t0, loop
+                syscall
+            """
+        )
+        assert result.output == "55"
+        assert result.exit_code == 5
+        # Two set-up instructions, then three seven-instruction iterations.
+        assert result.instructions_executed == len(result.trace) == 23
+
+    def test_exit_in_delay_slot(self):
+        result = run(
+            """
+                li $a0, 3
+                li $v0, 10
+                b away
+                syscall
+            away:
+                li $a0, 9
+                li $v0, 10
+                syscall
+            """
+        )
+        assert result.exit_code == 3
+        assert result.instructions_executed == len(result.trace) == 4
 
 
 class TestFloatingPoint:
@@ -585,6 +791,182 @@ class TestFloatingPoint:
         assert reg(result, 10) == 0x401C0000
 
 
+    def test_single_precision_sub_mul_div(self):
+        result = run(
+            f"""
+            .data
+            a: .float 1.5
+            b: .float 2.25
+            .text
+            la $t0, a
+            lwc1 $f0, 0($t0)
+            lwc1 $f2, 4($t0)
+            sub.s $f4, $f0, $f2
+            mul.s $f6, $f0, $f2
+            div.s $f8, $f2, $f0
+            mfc1 $t1, $f4
+            mfc1 $t2, $f6
+            mfc1 $t3, $f8
+            {EXIT}
+            """
+        )
+        assert reg(result, 9) == 0xBF400000  # -0.75f
+        assert reg(result, 10) == 0x40580000  # 3.375f
+        assert reg(result, 11) == 0x3FC00000  # 1.5f
+
+    def test_double_precision_add_sub(self):
+        result = run(
+            f"""
+            .data
+            a: .double 3.0
+            b: .double 4.0
+            .text
+            la $t0, a
+            l.d $f0, 0($t0)
+            l.d $f2, 8($t0)
+            add.d $f4, $f0, $f2
+            sub.d $f6, $f0, $f2
+            mfc1 $t1, $f4
+            mfc1 $t2, $f5
+            mfc1 $t3, $f6
+            mfc1 $t4, $f7
+            {EXIT}
+            """
+        )
+        assert (reg(result, 9), reg(result, 10)) == (0x401C0000, 0)  # 7.0
+        assert (reg(result, 11), reg(result, 12)) == (0xBFF00000, 0)  # -1.0
+
+    def test_division_by_zero_gives_signed_infinity(self):
+        result = run(
+            f"""
+            .data
+            a: .double 3.0
+            s: .float 1.5
+            .text
+            la $t0, a
+            l.d $f0, 0($t0)
+            lwc1 $f2, 8($t0)
+            mtc1 $zero, $f10
+            mtc1 $zero, $f11
+            div.d $f4, $f0, $f10
+            neg.d $f0, $f0
+            div.d $f6, $f0, $f10
+            div.s $f8, $f2, $f10
+            neg.s $f2, $f2
+            div.s $f9, $f2, $f10
+            mfc1 $t1, $f4
+            mfc1 $t2, $f5
+            mfc1 $t3, $f6
+            mfc1 $t4, $f8
+            mfc1 $t5, $f9
+            {EXIT}
+            """
+        )
+        assert (reg(result, 9), reg(result, 10)) == (0x7FF00000, 0)  # +inf
+        assert reg(result, 11) == 0xFFF00000  # -inf (double)
+        assert reg(result, 12) == 0x7F800000  # +inf (single)
+        assert reg(result, 13) == 0xFF800000  # -inf (single)
+
+    def test_single_abs_neg_mov(self):
+        result = run(
+            f"""
+            .data
+            a: .float 2.5
+            .text
+            la $t0, a
+            lwc1 $f0, 0($t0)
+            neg.s $f2, $f0
+            abs.s $f4, $f2
+            mov.s $f6, $f2
+            mfc1 $t1, $f2
+            mfc1 $t2, $f4
+            mfc1 $t3, $f6
+            {EXIT}
+            """
+        )
+        assert reg(result, 9) == 0xC0200000  # -2.5f
+        assert reg(result, 10) == 0x40200000  # 2.5f
+        assert reg(result, 11) == 0xC0200000
+
+    #: (comparison, operands, holds): singles $f0 = 1.5, $f2 = 2.25;
+    #: doubles $f4 = 1.0, $f6 = 2.0.
+    COMPARISONS = [
+        ("c.eq.s", "$f0, $f0", True),
+        ("c.eq.s", "$f0, $f2", False),
+        ("c.le.s", "$f0, $f2", True),
+        ("c.le.s", "$f2, $f0", False),
+        ("c.le.s", "$f0, $f0", True),
+        ("c.lt.s", "$f0, $f0", False),
+        ("c.lt.s", "$f0, $f2", True),
+        ("c.eq.d", "$f4, $f4", True),
+        ("c.eq.d", "$f4, $f6", False),
+        ("c.le.d", "$f4, $f6", True),
+        ("c.le.d", "$f6, $f4", False),
+        ("c.le.d", "$f4, $f4", True),
+    ]
+
+    def test_fp_compare_conditions(self):
+        checks = "\n".join(
+            f"""
+            {compare} {operands}
+            bc1f skip{bit}
+            nop
+            ori $t5, $t5, {1 << bit}
+            skip{bit}:
+            """
+            for bit, (compare, operands, _) in enumerate(self.COMPARISONS)
+        )
+        result = run(
+            f"""
+            .data
+            d: .double 1.0, 2.0
+            s: .float 1.5, 2.25
+            .text
+            la $t0, d
+            l.d $f4, 0($t0)
+            l.d $f6, 8($t0)
+            lwc1 $f0, 16($t0)
+            lwc1 $f2, 20($t0)
+            li $t5, 0
+            {checks}
+            {EXIT}
+            """
+        )
+        expected = sum(
+            1 << bit for bit, (_, _, holds) in enumerate(self.COMPARISONS) if holds
+        )
+        assert reg(result, 13) == expected
+
+    def test_conversions_between_formats(self):
+        result = run(
+            f"""
+            .data
+            d: .double 2.5, 0.1
+            s: .float 1.5, -2.75
+            .text
+            la $t0, d
+            l.d $f0, 0($t0)
+            l.d $f2, 8($t0)
+            lwc1 $f4, 16($t0)
+            lwc1 $f5, 20($t0)
+            cvt.s.d $f6, $f0
+            cvt.s.d $f7, $f2
+            cvt.d.s $f8, $f4
+            cvt.w.s $f10, $f5
+            mfc1 $t1, $f6
+            mfc1 $t2, $f7
+            mfc1 $t3, $f8
+            mfc1 $t4, $f9
+            mfc1 $t5, $f10
+            {EXIT}
+            """
+        )
+        assert reg(result, 9) == 0x40200000  # 2.5f
+        assert reg(result, 10) == 0x3DCCCCCD  # 0.1 rounded to nearest float
+        assert (reg(result, 11), reg(result, 12)) == (0x3FF80000, 0)  # 1.5
+        assert reg(result, 13) == 0xFFFFFFFE  # -2.75 truncates to -2
+
+
 class TestStallAccounting:
     def test_mult_adds_stall_cycles(self):
         plain = run(f"li $t0, 3\nli $t1, 4\naddu $t2, $t0, $t1\n{EXIT}")
@@ -728,3 +1110,15 @@ class TestUnalignedAccessPairs:
             """
         )
         assert result.data_accesses == 2
+
+
+class TestGoldenCoverage:
+    def test_every_mnemonic_has_a_golden(self):
+        """Each ISA mnemonic is executed by at least one case above.
+
+        Relies on pytest running a module's tests in file order, so this
+        class stays last; selected on its own it reports every mnemonic
+        missing.
+        """
+        missing = sorted(set(SPECS_BY_MNEMONIC) - EXECUTED_MNEMONICS)
+        assert not missing, f"no hand-computed golden executes {missing}"

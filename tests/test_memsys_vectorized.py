@@ -14,7 +14,7 @@ reference; these tests pin them together:
   (byte identity, error-message identity, bypass, truncation, the
   ``errors="none"`` protocol, and the >16-bit-code scalar fallback);
 * the study/cache wiring: ``clb_miss_counts``, the
-  ``CCRP_MEMSYS_REFERENCE`` escape hatch, the batch refill path of
+  ``CCRP_REFERENCE`` escape hatch, the batch refill path of
   :class:`ExpandingInstructionCache`, and the single-serialization
   guarantee.
 """
@@ -198,9 +198,9 @@ class TestRefillTables:
         )
 
     def test_reference_env_forces_scalar_build(self, image, monkeypatch):
-        monkeypatch.setenv("CCRP_MEMSYS_REFERENCE", "1")
+        monkeypatch.setenv("CCRP_REFERENCE", "1")
         forced = RefillEngine(image, EPROM)
-        monkeypatch.delenv("CCRP_MEMSYS_REFERENCE")
+        monkeypatch.delenv("CCRP_REFERENCE")
         default = RefillEngine(image, EPROM)
         assert np.array_equal(forced.ccrp_refill_cycles, default.ccrp_refill_cycles)
 
@@ -420,7 +420,7 @@ class TestStudyWiring:
 
         config = SystemConfig(cache_bytes=512, memory="eprom", clb_entries=8)
         vectorized = study.metrics(config)
-        monkeypatch.setenv("CCRP_MEMSYS_REFERENCE", "1")
+        monkeypatch.setenv("CCRP_REFERENCE", "1")
         study._engines.clear()  # cached engines were built vectorized
         reference = study.metrics(config)
         assert reference == vectorized
@@ -444,7 +444,7 @@ class TestExpandingCacheBatchPath:
             assert batch.read_line(address) == scalar.read_line(address)
 
     def test_reference_env_disables_batch_path(self, image, monkeypatch):
-        monkeypatch.setenv("CCRP_MEMSYS_REFERENCE", "yes")
+        monkeypatch.setenv("CCRP_REFERENCE", "yes")
         cache = ExpandingInstructionCache(image, cache_bytes=256)
         assert not cache._use_batch
         assert cache.read_line(0) == image.expanded_lines()[image.line_index(0)]

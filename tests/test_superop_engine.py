@@ -1,11 +1,14 @@
 """Engine equivalence: the basic-block superop engine vs the reference
-per-instruction interpreter.
+per-instruction stepping engine.
 
-The superop engine must be *indistinguishable* from the reference loop —
-same trace bytes, same registers, same output, same stall cycles — on
-every workload, on random generated programs, and when the instruction
-budget truncates execution mid-block.  These tests are the contract that
-lets the engine be the default.
+Both engines run code from the same source emitter, so these tests check
+what the superop engine adds on top of it: block carving, fusion, FP
+forwarding, hoisting and sinking, and loop chaining.  The superop engine
+must be *indistinguishable* from the stepping loop — same trace bytes,
+same registers, same output, same stall cycles — on every workload, on
+random generated programs, and when the instruction budget truncates
+execution mid-block.  These tests are the contract that lets the engine
+be the default.
 """
 
 from __future__ import annotations
@@ -77,23 +80,37 @@ def test_limit_without_stop_raises_in_both():
                 )
 
 
+@pytest.mark.parametrize("block_mode", [False, True])
+def test_compile_failure_raises_naming_pc(monkeypatch, block_mode):
+    """An emitter bug surfaces as a typed error, never as a silent fallback."""
+    from repro.machine import executor
+
+    monkeypatch.setattr(
+        executor, "_wrap_superop", lambda lines, loop=False: "def _su(:"
+    )
+    program = Assembler().assemble(f"li $t0, {4242 + block_mode}\nli $v0, 10\nsyscall")
+    with artifacts.cache_disabled():
+        with pytest.raises(ExecutionError, match=r"pc 0x0 failed to compile"):
+            Machine(program, block_mode=block_mode).run()
+
+
 # ----------------------------------------------------------------------
 # Escape hatches
 # ----------------------------------------------------------------------
 
 
 def test_env_var_selects_engine(monkeypatch):
-    monkeypatch.setenv("CCRP_EXECUTOR", "simple")
+    monkeypatch.setenv("CCRP_REFERENCE", "1")
     assert default_block_mode() is False
     assert Machine(load("lloop01").program).block_mode is False
-    monkeypatch.setenv("CCRP_EXECUTOR", "block")
+    monkeypatch.setenv("CCRP_REFERENCE", "0")
     assert default_block_mode() is True
-    monkeypatch.delenv("CCRP_EXECUTOR")
+    monkeypatch.delenv("CCRP_REFERENCE")
     assert default_block_mode() is True
 
 
 def test_block_mode_argument_overrides_env(monkeypatch):
-    monkeypatch.setenv("CCRP_EXECUTOR", "simple")
+    monkeypatch.setenv("CCRP_REFERENCE", "1")
     assert Machine(load("lloop01").program, block_mode=True).block_mode is True
 
 

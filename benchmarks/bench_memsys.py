@@ -12,9 +12,9 @@ miss streams are precomputed identically for both arms, so the timings
 isolate exactly the code this optimisation replaced.
 
 Equivalence is asserted on every run, never sampled: each arm's CLB miss
-counts, refill-cycle tables, fetched-byte tables, and the batch Huffman
-line decode must match the reference bit for bit before any timing is
-recorded.
+counts, refill-cycle tables and fetched-byte tables must match the
+reference bit for bit, and the batch Huffman line decode must match a
+per-line ``decode`` loop, before any timing is recorded.
 
 Honest-gate conventions (same as ``bench_harness.py``): the record
 carries the CPU affinity and repeat count; ``--smoke`` runs a small
@@ -118,9 +118,9 @@ def _assert_equivalent(program: str, study, streams: dict[int, np.ndarray]) -> N
     blobs = [block.data for block in image.blocks if block.is_compressed]
     if blobs:
         batch = image.code.decode_lines(blobs, image.line_size)
-        scalar = [image.code.decode_fast(blob, image.line_size) for blob in blobs]
-        if batch != scalar:
-            raise AssertionError(f"{program}: batch line decode diverges from decode_fast")
+        per_line = [image.code.decode(blob, image.line_size) for blob in blobs]
+        if batch != per_line:
+            raise AssertionError(f"{program}: batch line decode diverges from decode")
 
 
 def _time_stage(program: str, study, streams: dict[int, np.ndarray], repeats: int) -> dict:
@@ -155,13 +155,13 @@ def _time_stage(program: str, study, streams: dict[int, np.ndarray], repeats: in
 
 
 def _time_decode(study, repeats: int) -> dict | None:
-    """Batch vs scalar Huffman line decode over the image's blocks."""
+    """Batch vs per-line Huffman decode over the image's blocks."""
     image = study.image
     blobs = [block.data for block in image.blocks if block.is_compressed]
     if not blobs:
         return None
     scalar_seconds = _best_of(
-        repeats, lambda: [image.code.decode_fast(blob, image.line_size) for blob in blobs]
+        repeats, lambda: [image.code.decode(blob, image.line_size) for blob in blobs]
     )
     batch_seconds = _best_of(
         repeats, lambda: image.code.decode_lines(blobs, image.line_size)

@@ -151,17 +151,17 @@ class ExpandingInstructionCache:
         # The batch-decoded line is only valid if the walk fetched exactly
         # the block's stored bytes — the comparison keeps the LAT walk
         # honest, and anything else (corruption, walk bugs) decodes the
-        # fetched bytes scalar, exactly as the hardware would.
+        # fetched bytes on their own, exactly as the hardware would.
         if self._use_batch and stored == image.blocks[block_index].data:
             line = image.expanded_lines()[block_index]
             # A None slot is a blob the batch decode could not expand
             # (image built from corrupted storage).  Fall through to the
-            # scalar decoder so the failure is attributed to *this*
+            # per-line decoder so the failure is attributed to *this*
             # line, instead of the batch poisoning every refill.
             if line is not None:
                 return line
         try:
-            return image.code.decode_fast(stored, self.line_size)
+            return image.code.decode(stored, self.line_size)
         except CompressionError as error:
             raise CompressionError(f"line {line_number}: {error}") from error
 

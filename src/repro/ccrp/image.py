@@ -213,7 +213,7 @@ class CompressedImage:
         than failing the whole batch: a corrupt line K must not poison
         the refill of a healthy line J, and the error for line K itself
         must carry K's attribution — so consumers decode ``None`` slots
-        through the scalar path, which raises per-line.
+        through the per-line ``decode``, which raises for that line.
         """
         cached = getattr(self, "_expanded_lines_cache", None)
         if cached is None:

@@ -200,19 +200,13 @@ class BlockCompressor:
     # Decompression (the refill engine's functional path)
     # ------------------------------------------------------------------
 
-    def decompress_block(self, block: CompressedBlock) -> bytes:
-        """Expand a block back to the original cache line."""
-        if not block.is_compressed:
-            return block.data
-        return self.code.decode_fast(block.data, self.line_size)
-
     def decompress_program(self, blocks: list[CompressedBlock]) -> bytes:
         """Expand every block, reconstructing the padded text segment.
 
         All compressed blocks go through one batch ``decode_lines`` pass;
         bypass blocks are spliced back verbatim.  Output (and the first
-        failure, for corrupt streams) is identical to mapping
-        :meth:`decompress_block`.
+        failure, for corrupt streams) is identical to decoding each
+        compressed block with ``HuffmanCode.decode``.
         """
         compressed_blobs = [block.data for block in blocks if block.is_compressed]
         decoded = iter(self.code.decode_lines(compressed_blobs, self.line_size))

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import CompressionError
-from repro.compression.bitstream import BitReader, BitWriter
+from repro.compression.bitstream import BitWriter
 
 #: Number of symbols: the codecs operate on program bytes.
 ALPHABET = 256
@@ -336,131 +336,82 @@ class HuffmanCode:
             if not key.endswith("_cache")
         }
 
+    # ------------------------------------------------------------------
+    # Decoding (the "64K mapping ROM" of paper Section 3.4)
+    # ------------------------------------------------------------------
+    #
+    # One table, one error rule, two loops over it.  ``_window_tables``
+    # maps every ``min(max_length, _WINDOW_LIMIT)``-bit window to the
+    # symbol and length of the code word it starts with.  Both loops
+    # resolve the next window with zero bits past the end of the blob:
+    # no bits left, or a code word running past the end, is "bit stream
+    # exhausted"; a window no code word prefixes is "invalid code word in
+    # stream".  A bit-at-a-time walk over the code words stays in the
+    # tests as the oracle for both.
+
+    #: Widest window the table covers: 2^16 entries is exactly the
+    #: paper's "64K entry mapping ROM".  Longer code words exist only in
+    #: degenerate unbounded codes; they resolve in the long-code lookup.
+    _WINDOW_LIMIT = 16
+
     def decode(self, blob: bytes, symbol_count: int) -> bytes:
-        """Decode ``symbol_count`` symbols from ``blob``."""
-        reader = BitReader(blob)
-        decoded = bytearray()
-        table = self._decode_table()
-        for _ in range(symbol_count):
-            code = 0
-            length = 0
-            while True:
-                code = (code << 1) | reader.read_bit()
-                length += 1
-                symbol = table.get((length, code))
-                if symbol is not None:
-                    decoded.append(symbol)
-                    break
-                if length > self.max_length:
-                    raise CompressionError("invalid code word in stream")
-        return bytes(decoded)
+        """Decode ``symbol_count`` symbols from ``blob``, one at a time.
 
-    def _decode_table(self) -> dict[tuple[int, int], int]:
-        table = getattr(self, "_table_cache", None)
-        if table is None:
-            table = {
-                (self.lengths[symbol], self.codes[symbol]): symbol
-                for symbol in range(ALPHABET)
-                if self.lengths[symbol] > 0
-            }
-            object.__setattr__(self, "_table_cache", table)
-        return table
-
-    # ------------------------------------------------------------------
-    # Table-driven decoding (the "64K mapping ROM" of paper Section 3.4)
-    # ------------------------------------------------------------------
-
-    _FAST_BITS = 10
-
-    def decode_fast(self, blob: bytes, symbol_count: int) -> bytes:
-        """Decode ``symbol_count`` symbols with a two-level lookup table.
-
-        The paper suggests implementing the hard-wired decoder as "a 64K
-        entry mapping ROM"; this is that idea in software: one table
-        indexed by the next ``_FAST_BITS`` bits resolves every short code
-        in a single lookup, and the rare longer codes fall back to a
-        per-word dictionary.  Produces byte-identical output to
-        :meth:`decode` (property-tested) at several times the speed.
+        A bit accumulator is kept topped up to one whole code word; each
+        symbol is one window-table lookup (or, past the window, one scan
+        of the long-code lookup).
         """
-        fast_bits = self._FAST_BITS
-        fast_symbols, fast_lengths, long_table = self._fast_tables()
+        if symbol_count < 0:
+            raise CompressionError(
+                f"symbol count cannot be negative, got {symbol_count}"
+            )
+        window_symbols, window_lengths, long_codes = self._window_tables()
         max_length = self.max_length
-        # A bit accumulator kept topped up to at least `max_length` bits.
+        window_bits = min(max_length, self._WINDOW_LIMIT)
+        mask = (1 << window_bits) - 1
+        # At least one bit, so a blob under an empty code reads "invalid".
+        fill = max(max_length, 1)
         acc = 0
         acc_bits = 0
         position = 0
         total_bits = len(blob) * 8
         decoded = bytearray()
-        data = blob
         for _ in range(symbol_count):
-            while acc_bits < max_length and position < total_bits:
-                acc = (acc << 8) | data[position >> 3]
+            while acc_bits < fill and position < total_bits:
+                acc = (acc << 8) | blob[position >> 3]
                 position += 8
                 acc_bits += 8
             if acc_bits <= 0:
                 raise CompressionError("bit stream exhausted")
-            if acc_bits >= fast_bits:
-                probe = (acc >> (acc_bits - fast_bits)) & ((1 << fast_bits) - 1)
+            if acc_bits >= window_bits:
+                probe = (acc >> (acc_bits - window_bits)) & mask
             else:
-                probe = (acc << (fast_bits - acc_bits)) & ((1 << fast_bits) - 1)
-            length = fast_lengths[probe]
+                probe = (acc << (window_bits - acc_bits)) & mask
+            length = window_lengths[probe]
             if length:
-                symbol = fast_symbols[probe]
+                symbol = window_symbols[probe]
             else:
                 symbol = None
-                for length in range(fast_bits + 1, max_length + 1):
-                    if acc_bits < length:
-                        break
-                    code = (acc >> (acc_bits - length)) & ((1 << length) - 1)
-                    symbol = long_table.get((length, code))
+                if acc_bits >= max_length:
+                    word = acc >> (acc_bits - max_length)
+                else:
+                    word = acc << (max_length - acc_bits)
+                for length in range(window_bits + 1, max_length + 1):
+                    symbol = long_codes.get((length, word >> (max_length - length)))
                     if symbol is not None:
                         break
                 if symbol is None:
                     raise CompressionError("invalid code word in stream")
-            if acc_bits < length:
+            if length > acc_bits:
                 raise CompressionError("bit stream exhausted")
             acc_bits -= length
             acc &= (1 << acc_bits) - 1
             decoded.append(symbol)
         return bytes(decoded)
 
-    def _fast_tables(self) -> tuple[bytearray, bytearray, dict[tuple[int, int], int]]:
-        """Flat probe tables: symbol and length per ``_FAST_BITS`` prefix.
-
-        Two parallel ``bytearray``s (length 0 = no short code for this
-        prefix, fall back to the long-code dictionary) keep the hot loop
-        free of tuple unpacking and ``None`` checks — byte indexing is
-        the cheapest lookup CPython offers.
-        """
-        cached = getattr(self, "_fast_cache", None)
-        if cached is None:
-            fast_bits = self._FAST_BITS
-            fast_symbols = bytearray(1 << fast_bits)
-            fast_lengths = bytearray(1 << fast_bits)
-            long_table: dict[tuple[int, int], int] = {}
-            for symbol in range(ALPHABET):
-                length = self.lengths[symbol]
-                if length == 0:
-                    continue
-                if length <= fast_bits:
-                    prefix = self.codes[symbol] << (fast_bits - length)
-                    for suffix in range(1 << (fast_bits - length)):
-                        fast_symbols[prefix | suffix] = symbol
-                        fast_lengths[prefix | suffix] = length
-                else:
-                    long_table[(length, self.codes[symbol])] = symbol
-            cached = (fast_symbols, fast_lengths, long_table)
-            object.__setattr__(self, "_fast_cache", cached)
-        return cached
-
-    # ------------------------------------------------------------------
-    # Batch line decoding (vectorized companion to encode_lines)
-    # ------------------------------------------------------------------
-
-    #: Widest code the full-window table covers: 2^16 entries is exactly
-    #: the paper's "64K entry mapping ROM".  Longer (degenerate unbounded)
-    #: codes fall back to per-line decode_fast.
-    _WINDOW_LIMIT = 16
+    #: The per-line decoder's former name, kept only because
+    #: ``perfbench/tracing.py`` wraps it by name; call :meth:`decode`.
+    decode_fast = decode
 
     def decode_lines(
         self,
@@ -470,15 +421,14 @@ class HuffmanCode:
     ) -> list[bytes | None]:
         """Decode many independent encoded lines in one vectorized pass.
 
-        Each blob is decoded exactly as ``decode_fast(blob, symbol_count)``
-        would decode it — same output bytes, same error classification —
-        but all lines advance together: per decoded symbol one gather
-        reads a 3-byte window from every line's packed bit stream and one
-        full-window table lookup (the "64K mapping ROM" of paper Section
-        3.4, materialised as two numpy arrays) resolves the symbol and
-        code length for every line at once.  Lines are zero-padded into a
+        Each blob is decoded exactly as ``decode(blob, symbol_count)``
+        would decode it — same output bytes, same error message — but
+        all lines advance together: per decoded symbol one gather reads
+        a 3-byte window from every line's packed bit stream and one
+        lookup in the shared window table resolves the symbol and code
+        length for every line at once.  Lines are zero-padded into a
         rectangular byte matrix, so no window ever reads a neighbouring
-        line's bits.
+        line's bits.  Codes wider than the window decode per line.
 
         Args:
             blobs: The encoded lines.  Order is preserved.
@@ -486,8 +436,8 @@ class HuffmanCode:
                 line size, for block-compressed programs).
             errors: ``"raise"`` propagates the first failing blob's
                 :class:`~repro.errors.CompressionError` (same message and
-                blob order as a scalar ``decode_fast`` loop); ``"none"``
-                returns ``None`` in that blob's slot instead.
+                blob order as a ``decode`` loop); ``"none"`` returns
+                ``None`` in that blob's slot instead.
         """
         if errors not in ("raise", "none"):
             raise CompressionError(
@@ -503,11 +453,20 @@ class HuffmanCode:
         if symbol_count == 0:
             return [b""] * len(blobs)
         if self.max_length > self._WINDOW_LIMIT:
-            return self._decode_lines_scalar(blobs, symbol_count, errors)
+            results: list[bytes | None] = []
+            for blob in blobs:
+                try:
+                    results.append(self.decode(blob, symbol_count))
+                except CompressionError:
+                    if errors == "raise":
+                        raise
+                    results.append(None)
+            return results
 
-        window_symbols, window_lengths = self._window_tables()
+        table_symbols, table_lengths, _ = self._window_tables()
+        window_symbols = np.frombuffer(table_symbols, dtype=np.uint8)
+        window_lengths = np.frombuffer(table_lengths, dtype=np.uint8)
         window_bits = self.max_length
-        fast_bits = self._FAST_BITS
         count = len(blobs)
         sizes = np.fromiter((len(blob) for blob in blobs), dtype=np.int64, count=count)
         # Rectangular zero-padded layout; +3 slack bytes so the 3-byte
@@ -542,17 +501,12 @@ class HuffmanCode:
             window &= (1 << window_bits) - 1
             length = window_lengths[window].astype(np.int64)
             symbol = window_symbols[window]
-            # Error classification matches decode_fast exactly: no bits
-            # left is exhaustion; a window matching no code is invalid; a
-            # matched code longer than the bits left is exhaustion when
-            # the fast table found it, invalid when the long-code scan
-            # would have given up before reaching its length.
             exhausted = remaining <= 0
             invalid = ~exhausted & (length == 0)
-            overrun = ~exhausted & ~invalid & (length > remaining)
-            status[live[exhausted | (overrun & (length <= fast_bits))]] = 1
-            status[live[invalid | (overrun & (length > fast_bits))]] = 2
-            ok = ~(exhausted | invalid | overrun)
+            exhausted |= ~invalid & (length > remaining)
+            status[live[exhausted]] = 1
+            status[live[invalid]] = 2
+            ok = ~(exhausted | invalid)
             good = live[ok]
             out[good, index] = symbol[ok]
             position[good] = bit_pos[ok] + length[ok]
@@ -571,40 +525,35 @@ class HuffmanCode:
             for index in range(count)
         ]
 
-    def _decode_lines_scalar(
-        self, blobs: list[bytes], symbol_count: int, errors: str
-    ) -> list[bytes | None]:
-        """Per-line fallback for codes wider than the window table."""
-        results: list[bytes | None] = []
-        for blob in blobs:
-            try:
-                results.append(self.decode_fast(blob, symbol_count))
-            except CompressionError:
-                if errors == "raise":
-                    raise
-                results.append(None)
-        return results
+    def _window_tables(self) -> tuple[bytearray, bytearray, dict[tuple[int, int], int]]:
+        """The decode table: symbol and length per window, plus long codes.
 
-    def _window_tables(self) -> tuple[np.ndarray, np.ndarray]:
-        """Full-window lookup: symbol and length per ``max_length`` prefix.
-
-        One entry per possible ``max_length``-bit window; every code word
-        owns the contiguous range of windows it prefixes.  Length 0 marks
-        windows no code word matches.
+        One entry per possible ``min(max_length, _WINDOW_LIMIT)``-bit
+        window; every code word that fits the window owns the contiguous
+        range of windows it prefixes, and length 0 marks windows no such
+        code word matches.  Code words longer than the window go in the
+        ``{(length, code): symbol}`` long-code lookup instead.  The
+        arrays are ``bytearray``s — byte indexing is the cheapest lookup
+        the per-line loop has — which the batch loop views through numpy
+        without copying.
         """
         cached = getattr(self, "_window_cache", None)
         if cached is None:
-            window_bits = self.max_length
-            symbols = np.zeros(1 << window_bits, dtype=np.uint8)
-            lengths = np.zeros(1 << window_bits, dtype=np.uint8)
+            window_bits = min(self.max_length, self._WINDOW_LIMIT)
+            symbols = bytearray(1 << window_bits)
+            lengths = bytearray(1 << window_bits)
+            long_codes: dict[tuple[int, int], int] = {}
             for symbol in range(ALPHABET):
                 length = self.lengths[symbol]
                 if length == 0:
                     continue
+                if length > window_bits:
+                    long_codes[(length, self.codes[symbol])] = symbol
+                    continue
                 start = self.codes[symbol] << (window_bits - length)
                 span = 1 << (window_bits - length)
-                symbols[start : start + span] = symbol
-                lengths[start : start + span] = length
-            cached = (symbols, lengths)
+                symbols[start : start + span] = bytes((symbol,)) * span
+                lengths[start : start + span] = bytes((length,)) * span
+            cached = (symbols, lengths, long_codes)
             object.__setattr__(self, "_window_cache", cached)
         return cached

@@ -23,12 +23,17 @@ HEADER_BYTES = 3
 
 MIN_BITS = 9
 DEFAULT_MAX_BITS = 16
+MAX_BITS = 24
+
+
+def _check_max_bits(max_bits: int) -> None:
+    if not MIN_BITS <= max_bits <= MAX_BITS:
+        raise CompressionError(f"max_bits {max_bits} out of supported range")
 
 
 def lzw_compress(data: bytes, max_bits: int = DEFAULT_MAX_BITS) -> bytes:
     """Compress ``data`` with compress-style variable-width LZW."""
-    if not MIN_BITS <= max_bits <= 24:
-        raise CompressionError(f"max_bits {max_bits} out of supported range")
+    _check_max_bits(max_bits)
     if not data:
         return bytes(HEADER_BYTES)
 
@@ -56,7 +61,11 @@ def lzw_compress(data: bytes, max_bits: int = DEFAULT_MAX_BITS) -> bytes:
 
 
 def lzw_decompress(blob: bytes, max_bits: int = DEFAULT_MAX_BITS) -> bytes:
-    """Invert :func:`lzw_compress`."""
+    """Invert :func:`lzw_compress`.
+
+    A corrupt payload raises :class:`~repro.errors.CompressionError`.
+    """
+    _check_max_bits(max_bits)
     payload = blob[HEADER_BYTES:]
     if not payload:
         return b""
@@ -67,7 +76,10 @@ def lzw_decompress(blob: bytes, max_bits: int = DEFAULT_MAX_BITS) -> bytes:
     limit = 1 << max_bits
     reader = BitReader(payload)
 
-    previous = table[reader.read(width)]
+    code = reader.read(width)
+    if code not in table:
+        raise CompressionError(f"corrupt LZW stream: code {code}")
+    previous = table[code]
     output = bytearray(previous)
     # Mirror the encoder: a new table entry is created per emitted code, and
     # the width grows when the *encoder's* next_code passes the width limit.

@@ -127,9 +127,9 @@ def blast_block_codec(
         offset += block.stored_size
 
     # One batch decode over every compressed slice; a None slot means the
-    # decoder refused that line, and the scalar reference is re-run on it
-    # to recover the exact error message (refusals are rare — one per
-    # injected fault at most — so this stays off the hot path).
+    # decoder refused that line, and the per-line decoder is re-run on it
+    # to recover the error message (refusals are rare — one per injected
+    # fault at most — so this stays off the hot path).
     batch = iter(
         code.decode_lines(
             [data for data, block in zip(slices, blocks) if block.is_compressed],
@@ -151,7 +151,7 @@ def blast_block_codec(
             decoded.extend(line)
             continue
         try:
-            code.decode_fast(data, line_size)
+            code.decode(data, line_size)
         except ReproError as error:
             # The decoder refused the line: functionally a lost line.
             decode_error = str(error)

@@ -12,6 +12,7 @@ from repro.compression.bitstream import BitReader, BitWriter
 from repro.compression.histogram import byte_histogram, corpus_histogram, merge_histograms
 from repro.compression.huffman import HuffmanCode
 from repro.compression.preselected import build_preselected_code
+from huffman_oracle import bit_walk_decode, decode_outcome, oracle_outcome
 
 
 class TestBitstream:
@@ -306,7 +307,7 @@ class TestCanonicalCodes:
 
 
 class TestFastDecoder:
-    """decode_fast must be byte-identical to the bit-by-bit decoder."""
+    """The per-line table decoder must match the bit-walk oracle."""
 
     def _random_code(self, seed: int, max_length: int | None = 16) -> HuffmanCode:
         data = bytes(random.Random(seed).randbytes(4096))
@@ -318,25 +319,27 @@ class TestFastDecoder:
         code = self._random_code(60)
         data = bytes(random.Random(61).randbytes(2000))
         blob, _ = code.encode(data)
-        assert code.decode_fast(blob, len(data)) == code.decode(blob, len(data)) == data
+        assert code.decode(blob, len(data)) == bit_walk_decode(code, blob, len(data)) == data
 
     def test_handles_long_codes_past_fast_bits(self):
-        # Fibonacci frequencies force codes longer than the 10-bit table.
+        # Unbounded Fibonacci frequencies give code words longer than the
+        # 16-bit window; they resolve in the long-code lookup.
         frequencies = [0] * 256
         a, b = 1, 1
         for symbol in range(24):
             frequencies[symbol] = a
             a, b = b, a + b
-        code = HuffmanCode.from_frequencies(frequencies, max_length=16)
-        assert code.max_length > 10
+        code = HuffmanCode.from_frequencies(frequencies)
+        assert code.max_length > HuffmanCode._WINDOW_LIMIT
         data = bytes(range(24)) * 20
         blob, _ = code.encode(data)
-        assert code.decode_fast(blob, len(data)) == data
+        assert code.decode(blob, len(data)) == bit_walk_decode(code, blob, len(data)) == data
 
     def test_exhausted_stream_raises(self):
         code = self._random_code(62)
-        with pytest.raises(CompressionError):
-            code.decode_fast(b"", 1)
+        with pytest.raises(CompressionError, match="bit stream exhausted"):
+            code.decode(b"", 1)
+        assert oracle_outcome(code, b"", 1) == "bit stream exhausted"
 
     def test_short_final_symbol_at_stream_edge(self):
         # A single symbol padded into one byte must still decode.
@@ -344,42 +347,40 @@ class TestFastDecoder:
         frequencies[65], frequencies[66] = 3, 1
         code = HuffmanCode.from_frequencies(frequencies)
         blob, _ = code.encode(b"ABBA")
-        assert code.decode_fast(blob, 4) == b"ABBA"
+        assert code.decode(blob, 4) == bit_walk_decode(code, blob, 4) == b"ABBA"
 
     @settings(max_examples=40, deadline=None)
     @given(st.binary(min_size=1, max_size=400), st.integers(0, 10_000))
     def test_property_equivalence(self, data, seed):
         code = self._random_code(seed)
         blob, _ = code.encode(data)
-        assert code.decode_fast(blob, len(data)) == data
+        assert code.decode(blob, len(data)) == bit_walk_decode(code, blob, len(data)) == data
 
     def test_exhaustion_mid_accumulator_matches_reference(self):
         # A code whose every word is 9 bits: one blob byte leaves 8 bits
-        # in the accumulator — fewer than any code word — so the fast
-        # decoder must fail exactly like the bit-by-bit one, not emit a
-        # phantom symbol from the partial accumulator.
+        # in the accumulator — fewer than any code word — so the decoder
+        # must fail exactly like the oracle, not emit a phantom symbol
+        # from the partial accumulator.
         code = HuffmanCode.from_lengths([9] * 256)
         blob, _ = code.encode(bytes([1, 2]))
-        assert code.decode_fast(blob, 2) == bytes([1, 2])
-        with pytest.raises(CompressionError):
-            code.decode_fast(blob[:1], 2)
-        with pytest.raises(CompressionError):
+        assert code.decode(blob, 2) == bytes([1, 2])
+        with pytest.raises(CompressionError) as error:
             code.decode(blob[:1], 2)
+        assert str(error.value) == oracle_outcome(code, blob[:1], 2)
 
     def test_truncated_stream_matches_reference(self):
         code = self._random_code(63)
         data = bytes(random.Random(64).randbytes(300))
         blob, _ = code.encode(data)
         truncated = blob[: len(blob) // 2]
-        with pytest.raises(CompressionError):
-            code.decode_fast(truncated, len(data))
-        with pytest.raises(CompressionError):
+        with pytest.raises(CompressionError) as error:
             code.decode(truncated, len(data))
+        assert str(error.value) == oracle_outcome(code, truncated, len(data))
 
     def test_max_length_code_words_decode(self):
         # Exponential frequencies push the least-frequent symbols to the
-        # 16-bit bound; those maximal words must decode through the
-        # long-code fallback identically to the reference decoder.
+        # 16-bit bound; those maximal words fill exactly one window entry
+        # each and must decode identically to the oracle.
         frequencies = [0] * 256
         for symbol in range(32):
             frequencies[symbol] = 1 << symbol
@@ -389,12 +390,12 @@ class TestFastDecoder:
         assert maximal
         data = bytes(maximal) * 5 + bytes(range(32)) * 3 + bytes(maximal)
         blob, _ = code.encode(data)
-        assert code.decode_fast(blob, len(data)) == code.decode(blob, len(data)) == data
+        assert code.decode(blob, len(data)) == bit_walk_decode(code, blob, len(data)) == data
 
     def test_bypass_blocks_skip_the_decoder_entirely(self):
         # Incompressible lines take the bypass path: stored verbatim with
         # no symbol timings; compressed lines must still round-trip
-        # through both decoders.
+        # through the decoder and the oracle.
         from repro.compression.block import BlockCompressor
 
         code = self._random_code(65)
@@ -407,8 +408,8 @@ class TestFastDecoder:
         for block in blocks:
             line = (compressible + incompressible)[offset : offset + 32]
             if block.is_compressed:
-                assert code.decode_fast(block.data, len(line)) == line
                 assert code.decode(block.data, len(line)) == line
+                assert bit_walk_decode(code, block.data, len(line)) == line
             else:
                 assert block.data == line
                 assert block.symbol_bits is None
@@ -416,30 +417,134 @@ class TestFastDecoder:
 
 
 class TestFastDecoderTableBoundary:
-    """Code words at, just under, and just past the 10-bit probe table."""
+    """Code words at, just under, and just past the 16-bit window."""
 
-    @pytest.mark.parametrize("length", [9, 10, 11])
-    def test_uniform_lengths_around_fast_bits(self, length):
-        assert HuffmanCode._FAST_BITS == 10
+    @pytest.mark.parametrize("length", [15, 16, 17])
+    def test_uniform_lengths_at_window_edge(self, length):
+        assert HuffmanCode._WINDOW_LIMIT == 16
         code = HuffmanCode.from_lengths([length] * 256)
         data = bytes(range(256)) * 4
         blob, _ = code.encode(data)
-        assert code.decode_fast(blob, len(data)) == code.decode(blob, len(data)) == data
+        assert code.decode(blob, len(data)) == bit_walk_decode(code, blob, len(data)) == data
+        lines, _ = code.encode_lines(data, 32)
+        expected = [data[offset : offset + 32] for offset in range(0, len(data), 32)]
+        assert code.decode_lines(lines, 32) == expected
+        assert [bit_walk_decode(code, line, 32) for line in lines] == expected
 
-    def test_code_straddling_fast_bits(self):
-        # Half the symbols resolve in the probe table, half overflow to
-        # the long-code fallback — exercised within the same stream.
-        code = HuffmanCode.from_lengths([9] * 128 + [11] * 128)
+    def test_code_straddling_window_edge(self):
+        # Half the symbols resolve in the window table, half overflow to
+        # the long-code lookup — exercised within the same stream.
+        code = HuffmanCode.from_lengths([16] * 128 + [17] * 128)
         data = bytes(random.Random(77).randbytes(3000))
         blob, _ = code.encode(data)
-        assert code.decode_fast(blob, len(data)) == code.decode(blob, len(data)) == data
+        assert code.decode(blob, len(data)) == bit_walk_decode(code, blob, len(data)) == data
 
     @settings(max_examples=25, deadline=None)
-    @given(st.binary(min_size=1, max_size=200), st.sampled_from([9, 10, 11]))
+    @given(st.binary(min_size=1, max_size=200), st.sampled_from([15, 16, 17]))
     def test_property_boundary_round_trip(self, data, length):
         code = HuffmanCode.from_lengths([length] * 256)
         blob, _ = code.encode(data)
-        assert code.decode_fast(blob, len(data)) == data
+        assert code.decode(blob, len(data)) == data
+        assert code.decode_lines([blob], len(data)) == [data]
+
+
+def _fuzz_codes() -> list[HuffmanCode]:
+    """Bounded, unbounded (>16-bit), uniform and incomplete codes."""
+    rng = random.Random(2024)
+    codes = []
+    for max_length in (9, 12, 16):
+        frequencies = [rng.randrange(1 << rng.randrange(14)) for _ in range(256)]
+        codes.append(HuffmanCode.from_frequencies(frequencies, max_length=max_length))
+    for symbols in (20, 30):
+        fibonacci = [0] * 256
+        a, b = 1, 1
+        for symbol in range(symbols):
+            fibonacci[symbol] = a
+            a, b = b, a + b
+        codes.append(HuffmanCode.from_frequencies(fibonacci))
+    for length in (1, 8, 16, 17):
+        count = min(256, 1 << length)
+        codes.append(HuffmanCode.from_lengths([length] * count + [0] * (256 - count)))
+    # Kraft sum below one: some windows match no code word at all.
+    partial = list(codes[1].lengths)
+    for symbol in rng.sample(range(256), 64):
+        partial[symbol] = 0
+    codes.append(HuffmanCode.from_lengths(partial))
+    codes.append(HuffmanCode.from_lengths([3] * 5 + [0] * 251))
+    return codes
+
+
+FUZZ_CODES = _fuzz_codes()
+
+
+@st.composite
+def _fuzz_blob(draw, code: HuffmanCode) -> bytes:
+    """A valid, corrupt, truncated, empty or arbitrary blob for ``code``."""
+    kind = draw(st.sampled_from(["valid", "corrupt", "truncated", "empty", "random"]))
+    if kind == "empty":
+        return b""
+    if kind == "random":
+        return draw(st.binary(max_size=48))
+    codable = [symbol for symbol in range(256) if code.lengths[symbol]]
+    data = bytes(draw(st.lists(st.sampled_from(codable), min_size=1, max_size=40)))
+    blob, _ = code.encode(data)
+    if kind == "truncated":
+        return blob[: draw(st.integers(0, len(blob) - 1))]
+    if kind == "corrupt":
+        mutated = bytearray(blob)
+        for bit in draw(st.lists(st.integers(0, len(blob) * 8 - 1), min_size=1, max_size=3)):
+            mutated[bit // 8] ^= 0x80 >> (bit % 8)
+        return bytes(mutated)
+    return blob
+
+
+class TestDecoderFuzz:
+    """Every decode path agrees with the bit-walk oracle on any input."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_decode_and_decode_lines_match_oracle(self, data):
+        code = data.draw(st.sampled_from(FUZZ_CODES))
+        blob = data.draw(_fuzz_blob(code))
+        count = data.draw(st.integers(0, 48))
+        expected = oracle_outcome(code, blob, count)
+        assert decode_outcome(code, blob, count) == expected
+        try:
+            batch = code.decode_lines([blob], count)
+        except CompressionError as error:
+            batch = [str(error)]
+        assert batch == [expected]
+        none_slot = expected if isinstance(expected, bytes) else None
+        assert code.decode_lines([blob], count, errors="none") == [none_slot]
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_mixed_batch_matches_per_blob_oracle(self, data):
+        code = data.draw(st.sampled_from(FUZZ_CODES))
+        blobs = data.draw(st.lists(_fuzz_blob(code), min_size=1, max_size=8))
+        count = data.draw(st.integers(1, 40))
+        expected = [oracle_outcome(code, blob, count) for blob in blobs]
+        assert code.decode_lines(blobs, count, errors="none") == [
+            outcome if isinstance(outcome, bytes) else None for outcome in expected
+        ]
+        failures = [outcome for outcome in expected if isinstance(outcome, str)]
+        if failures:
+            with pytest.raises(CompressionError) as error:
+                code.decode_lines(blobs, count)
+            assert str(error.value) == failures[0]
+        else:
+            assert code.decode_lines(blobs, count) == expected
+
+    @pytest.mark.parametrize("index", range(len(FUZZ_CODES)))
+    def test_negative_symbol_count_rejected_by_every_path(self, index):
+        code = FUZZ_CODES[index]
+        message = "symbol count cannot be negative, got -1"
+        assert oracle_outcome(code, b"\xff", -1) == message
+        assert decode_outcome(code, b"\xff", -1) == message
+        for blobs in ([], [b""], [b"\xff"]):
+            for errors in ("raise", "none"):
+                with pytest.raises(CompressionError, match=message):
+                    code.decode_lines(blobs, -1, errors=errors)
 
 
 class TestVectorizedEncode:

@@ -70,6 +70,54 @@ class TestLZW:
     def test_property_round_trip(self, data):
         assert lzw_decompress(lzw_compress(data)) == data
 
+    def test_first_code_past_the_byte_alphabet_is_typed(self):
+        # Flipping the top bit of the first 9-bit code turns it into 360,
+        # a code no dictionary holds before the second one is read.
+        blob = bytearray(lzw_compress(b"hello world hello world"))
+        blob[HEADER_BYTES] ^= 0x80
+        with pytest.raises(CompressionError, match="code 360"):
+            lzw_decompress(bytes(blob))
+
+    @pytest.mark.parametrize("max_bits", [8, 25])
+    def test_decompress_rejects_max_bits_out_of_range(self, max_bits):
+        with pytest.raises(CompressionError, match="out of supported range"):
+            lzw_decompress(lzw_compress(b"abc"), max_bits=max_bits)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.one_of(
+            st.binary(max_size=64),
+            st.builds(
+                lambda data, flips: _flip_bits(lzw_compress(data), flips),
+                st.binary(min_size=1, max_size=200),
+                st.lists(st.integers(0, 10_000), max_size=4),
+            ),
+            st.builds(
+                lambda data, keep: lzw_compress(data)[: HEADER_BYTES + keep],
+                st.binary(min_size=1, max_size=200),
+                st.integers(0, 200),
+            ),
+        ),
+        st.integers(9, 16),
+    )
+    def test_arbitrary_payload_is_bytes_or_typed_error(self, blob, max_bits):
+        """Corrupt, truncated or empty payloads never leak a foreign error."""
+        try:
+            decoded = lzw_decompress(blob, max_bits=max_bits)
+        except CompressionError:
+            return
+        assert isinstance(decoded, bytes)
+
+
+def _flip_bits(blob: bytes, flips: list[int]) -> bytes:
+    """``blob`` with the given payload bit offsets (mod its size) inverted."""
+    mutated = bytearray(blob)
+    payload_bits = (len(mutated) - HEADER_BYTES) * 8
+    for flip in flips:
+        bit = flip % payload_bits
+        mutated[HEADER_BYTES + bit // 8] ^= 0x80 >> (bit % 8)
+    return bytes(mutated)
+
 
 def _code_for(data: bytes, max_length: int = 16) -> HuffmanCode:
     return HuffmanCode.from_frequencies(

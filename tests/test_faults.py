@@ -29,6 +29,8 @@ from repro.faults import (
     validate_integrity_policy,
 )
 
+from huffman_oracle import oracle_outcome
+
 PROGRAM = bytes(range(256)) * 8  # 2 KiB, 64 lines, every byte value
 
 
@@ -195,7 +197,7 @@ class TestBatchedRefillAttribution:
         LAT layout still matches) while ``line_crcs`` keeps the pristine
         table — corruption-after-attestation, the case integrity exists
         for.  The mutation is searched deterministically until the
-        scalar decoder provably rejects it.
+        decoder provably rejects it.
         """
         import dataclasses
 
@@ -216,7 +218,7 @@ class TestBatchedRefillAttribution:
                 mutated = bytearray(original)
                 mutated[position] ^= mask
                 try:
-                    image.code.decode_fast(bytes(mutated), image.line_size)
+                    image.code.decode(bytes(mutated), image.line_size)
                 except CompressionError:
                     blocks = list(image.blocks)
                     blocks[target] = dataclasses.replace(
@@ -315,7 +317,8 @@ class TestCorruptedDecodeFuzz:
     @given(st.data())
     def test_corrupted_block_decode_terminates(self, data):
         """Decoding any corrupted bitstream returns bytes or raises a
-        ReproError — it never hangs and never leaks a foreign exception."""
+        ReproError — it never hangs, never leaks a foreign exception, and
+        gives the bit-walk oracle's bytes or error message."""
         codes = _codes()
         name = data.draw(st.sampled_from(sorted(codes)))
         code = codes[name]
@@ -330,11 +333,13 @@ class TestCorruptedDecodeFuzz:
         )
         if not block.is_compressed:
             return
+        expected = oracle_outcome(code, mutation, DEFAULT_LINE_SIZE)
         try:
-            decoded = code.decode_fast(mutation, DEFAULT_LINE_SIZE)
-        except ReproError:
+            decoded = code.decode(mutation, DEFAULT_LINE_SIZE)
+        except ReproError as error:
+            assert str(error) == expected
             return
-        assert isinstance(decoded, bytes)
+        assert decoded == expected
         assert len(decoded) == DEFAULT_LINE_SIZE
 
 

@@ -10,9 +10,10 @@ reference; these tests pin them together:
   levels, swept decode rates, widened buses);
 * the exact-integer detailed recurrence vs the old float-accumulation
   formula it replaced;
-* :meth:`HuffmanCode.decode_lines` vs :meth:`HuffmanCode.decode_fast`
-  (byte identity, error-message identity, bypass, truncation, the
-  ``errors="none"`` protocol, and the >16-bit-code scalar fallback);
+* :meth:`HuffmanCode.decode_lines` vs :meth:`HuffmanCode.decode` and the
+  bit-walk oracle in ``tests/huffman_oracle.py`` (byte identity,
+  error-message identity, bypass, truncation, the ``errors="none"``
+  protocol, and the per-line path for >16-bit codes);
 * the study/cache wiring: ``clb_miss_counts``, the
   ``CCRP_REFERENCE`` escape hatch, the batch refill path of
   :class:`ExpandingInstructionCache`, and the single-serialization
@@ -39,6 +40,7 @@ from repro.compression.histogram import byte_histogram
 from repro.compression.huffman import HuffmanCode
 from repro.errors import CompressionError
 from repro.memsys import BURST_EPROM, EPROM, SC_DRAM, MemoryModel
+from huffman_oracle import bit_walk_decode, decode_outcome, oracle_outcome
 
 
 def make_code(data: bytes) -> HuffmanCode:
@@ -241,7 +243,7 @@ class TestDetailedIntegerArithmetic:
 
 
 # ----------------------------------------------------------------------
-# Batch line decode vs decode_fast
+# Batch line decode vs per-line decode and the bit-walk oracle
 # ----------------------------------------------------------------------
 
 
@@ -258,7 +260,9 @@ class TestDecodeLines:
 
     def test_byte_identity_with_decode_fast(self, code_and_blobs):
         code, blobs, _ = code_and_blobs
-        assert code.decode_lines(blobs, 32) == [code.decode_fast(b, 32) for b in blobs]
+        batch = code.decode_lines(blobs, 32)
+        assert batch == [code.decode(b, 32) for b in blobs]
+        assert batch == [bit_walk_decode(code, b, 32) for b in blobs]
 
     def test_decompress_program_round_trips_through_batch(self, code_and_blobs):
         code, _, blocks = code_and_blobs
@@ -268,23 +272,23 @@ class TestDecodeLines:
     def test_truncated_blob_message_matches_decode_fast(self, code_and_blobs):
         code, blobs, _ = code_and_blobs
         truncated = blobs[0][:1]
-        with pytest.raises(CompressionError) as scalar:
-            code.decode_fast(truncated, 32)
+        with pytest.raises(CompressionError) as single:
+            code.decode(truncated, 32)
         with pytest.raises(CompressionError) as batch:
             code.decode_lines([truncated], 32)
-        assert str(batch.value) == str(scalar.value)
+        assert str(batch.value) == str(single.value) == oracle_outcome(code, truncated, 32)
 
     def test_garbage_blobs_classify_like_decode_fast(self, code_and_blobs):
         code, blobs, _ = code_and_blobs
         rng = random.Random(123)
         for _ in range(40):
             garbage = bytes(rng.randrange(256) for _ in range(rng.randrange(1, 20)))
-            try:
-                expected = code.decode_fast(garbage, 32)
-            except CompressionError as error:
+            expected = oracle_outcome(code, garbage, 32)
+            assert decode_outcome(code, garbage, 32) == expected
+            if isinstance(expected, str):
                 with pytest.raises(CompressionError) as batch:
                     code.decode_lines([garbage], 32)
-                assert str(batch.value) == str(error)
+                assert str(batch.value) == expected
             else:
                 assert code.decode_lines([garbage], 32) == [expected]
 
@@ -292,9 +296,9 @@ class TestDecodeLines:
         code, blobs, _ = code_and_blobs
         mixed = [blobs[0], blobs[0][:1], blobs[1]]
         out = code.decode_lines(mixed, 32, errors="none")
-        assert out[0] == code.decode_fast(blobs[0], 32)
+        assert out[0] == code.decode(blobs[0], 32) == bit_walk_decode(code, blobs[0], 32)
         assert out[1] is None
-        assert out[2] == code.decode_fast(blobs[1], 32)
+        assert out[2] == code.decode(blobs[1], 32) == bit_walk_decode(code, blobs[1], 32)
 
     def test_invalid_errors_mode_rejected(self, code_and_blobs):
         code, blobs, _ = code_and_blobs
@@ -309,7 +313,7 @@ class TestDecodeLines:
     def test_long_code_fallback_matches_scalar(self):
         # Fibonacci frequencies build a maximally lopsided Huffman tree,
         # pushing the rarest codes past the 16-bit window limit and
-        # forcing the scalar fallback path.
+        # forcing the per-line path.
         frequencies = [0] * 256
         frequencies[0], frequencies[1] = 1, 1
         for symbol in range(2, 28):
@@ -322,7 +326,9 @@ class TestDecodeLines:
         text = bytes(rng.choices(range(28), weights=frequencies[:28], k=12 * 32))
         blocks = BlockCompressor(code).compress_program(text)
         blobs = [block.data for block in blocks if block.is_compressed]
-        assert code.decode_lines(blobs, 32) == [code.decode_fast(b, 32) for b in blobs]
+        batch = code.decode_lines(blobs, 32)
+        assert batch == [code.decode(b, 32) for b in blobs]
+        assert batch == [bit_walk_decode(code, b, 32) for b in blobs]
 
     @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
     @settings(max_examples=20, deadline=None)
@@ -335,7 +341,9 @@ class TestDecodeLines:
         blocks = BlockCompressor(code).compress_program(text)
         blobs = [block.data for block in blocks if block.is_compressed]
         if blobs:
-            assert code.decode_lines(blobs, 32) == [code.decode_fast(b, 32) for b in blobs]
+            batch = code.decode_lines(blobs, 32)
+            assert batch == [code.decode(b, 32) for b in blobs]
+            assert batch == [bit_walk_decode(code, b, 32) for b in blobs]
 
 
 # ----------------------------------------------------------------------
@@ -366,7 +374,8 @@ class TestImageBatchPlumbing:
         lines = image.expanded_lines()
         for block, line in zip(image.blocks, lines):
             if block.is_compressed:
-                assert line == image.code.decode_fast(block.data, image.line_size)
+                assert line == image.code.decode(block.data, image.line_size)
+                assert line == bit_walk_decode(image.code, block.data, image.line_size)
             else:
                 assert line == block.data
 

@@ -53,9 +53,9 @@ SCHEMA = "ccrp-bench-frontend/1"
 CACHE_BYTES = 256
 CLB_ENTRIES = 16
 MEMORY = "sc_dram"
-POLICIES = ("demand", "nextline", "btb")
+POLICIES = ("demand", "nextline")
 DEFAULT_EXACT_PREFIX = 200_000
-SMOKE_PROGRAMS = ("lloop01", "eightq")
+SMOKE_PROGRAMS = ("lloop01", "eightq", "nasa7")
 SMOKE_EXACT_PREFIX = 60_000
 #: Full-suite geomean the vectorized path must beat — the keep-honest
 #: floor under the ~4x measured on the development machine (the margin
@@ -86,7 +86,6 @@ def _measure_cell(study, policy: str, prefix, repeats: int) -> dict:
 
     decoder = SystemConfig().decoder
     engine = study.refill_engine(MEMORY, decoder)
-    btb = study.btb() if policy == "btb" else None
 
     def run_exact() -> FetchReplay:
         unit = PrefetchingFetchUnit(
@@ -95,7 +94,6 @@ def _measure_cell(study, policy: str, prefix, repeats: int) -> dict:
             refill=engine,
             clb=CLB(entries=CLB_ENTRIES),
             policy=policy,
-            btb=btb,
         )
         stalls = 0
         for address in prefix.tolist():
@@ -111,7 +109,6 @@ def _measure_cell(study, policy: str, prefix, repeats: int) -> dict:
             refill=engine,
             clb=CLB(entries=CLB_ENTRIES),
             policy=policy,
-            btb=btb,
         )
 
     # The gate comes first: no timing is recorded for a cell whose

@@ -85,10 +85,10 @@ class ExpandingInstructionCache:
                 "memory_image override must match the image layout "
                 f"({expected_bytes} bytes, got {len(self._memory)})"
             )
-        # A pristine store can serve refills from the image's one batch
-        # decode; an overridden (possibly corrupted) store must decode
-        # whatever bytes the walk actually fetched.
-        self._use_batch = memory_image is None and not reference_mode()
+        # Refills whose fetched bytes are a block's own stored bytes are
+        # served from the image's one batch decode, also under a
+        # (possibly corrupted) override: see ``_refill``.
+        self._use_batch = not reference_mode()
         self._tags: list[int | None] = [None] * self.num_sets
         self._lines: list[bytes] = [b""] * self.num_sets
         self.hits = 0
@@ -149,10 +149,13 @@ class ExpandingInstructionCache:
         if not entry.is_compressed(slot):
             return stored
         # The batch-decoded line is only valid if the walk fetched exactly
-        # the block's stored bytes — the comparison keeps the LAT walk
-        # honest, and anything else (corruption, walk bugs) decodes the
-        # fetched bytes on their own, exactly as the hardware would.
-        if self._use_batch and stored == image.blocks[block_index].data:
+        # the block's stored bytes and the block really is compressed — a
+        # corrupted LAT can mark a bypass block compressed, and the
+        # hardware then Huffman-decodes its raw bytes, which the batch
+        # returns verbatim.  Anything else (corruption, walk bugs) decodes
+        # the fetched bytes on their own, exactly as the hardware would.
+        block = image.blocks[block_index]
+        if self._use_batch and block.is_compressed and stored == block.data:
             line = image.expanded_lines()[block_index]
             # A None slot is a blob the batch decode could not expand
             # (image built from corrupted storage).  Fall through to the

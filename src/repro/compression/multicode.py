@@ -108,9 +108,16 @@ class MultiCodeCompressor:
         ]
 
     def decompress_block(self, block: MultiCodeBlock) -> bytes:
-        if block.code_index is None:
+        """Decode one block; a tag that names no code is a
+        :class:`CompressionError`, like any other corrupt input."""
+        index = block.code_index
+        if index is None:
             return block.data
-        return self.codes[block.code_index].decode(block.data, self.line_size)
+        if not 0 <= index < len(self.codes):
+            raise CompressionError(
+                f"code tag {index} names no code (the set has {len(self.codes)})"
+            )
+        return self.codes[index].decode(block.data, self.line_size)
 
     # ------------------------------------------------------------------
     # Accounting

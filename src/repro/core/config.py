@@ -71,12 +71,11 @@ class SystemConfig:
             per-line CRC table (3.125 %, like the LAT) to the reported
             compression ratio; see :mod:`repro.faults.integrity`.
         fetch_policy: Front-end refill policy — ``"demand"`` (the
-            paper's machine), ``"nextline"`` (speculatively decompress
-            the fall-through line on every miss), or ``"btb"``
-            (next-line plus a CFG-trained static branch-target buffer).
-            Non-demand policies require the pipeline backend and are
-            mutually exclusive with ``critical_word_first`` (the
-            prefetch buffer holds whole decoded lines); see
+            paper's machine) or ``"nextline"`` (speculatively decompress
+            the fall-through line on every miss).  ``nextline`` requires
+            the pipeline backend and is mutually exclusive with
+            ``critical_word_first`` (the prefetch buffer holds whole
+            decoded lines); see
             :mod:`repro.prefetch` and ``docs/modeling_notes.md`` §15.
         prefetch_depth: Capacity of the prefetch buffer in lines
             (ignored under the demand policy).

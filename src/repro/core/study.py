@@ -33,7 +33,7 @@ from repro.pipeline.frontend import (
 )
 from repro.pipeline.hazards import HazardModel, R2000_HAZARDS
 from repro.pipeline.timeline import BlockTable, replay_trace
-from repro.prefetch import FetchReplay, build_btb, simulate_fetch_stream
+from repro.prefetch import FetchReplay, simulate_fetch_stream
 from repro.workloads.suite import Workload, load
 
 
@@ -96,7 +96,6 @@ class ProgramStudy:
         self._pipeline_replay: PipelineResult | None = None
         self._miss_addresses: dict[int, np.ndarray] = {}
         self._prefetch_replays: dict[tuple, "FetchReplay"] = {}
-        self._btb = None
 
     # ------------------------------------------------------------------
     # Cached building blocks
@@ -227,22 +226,6 @@ class ProgramStudy:
             self._pipeline_replay = replay
         return replay
 
-    def btb(self):
-        """The workload's static branch-target buffer (built once).
-
-        Trained from the CFG's static transfer edges
-        (:func:`repro.isa.cfg.static_transfer_targets`), so it is a
-        property of the program text alone — every configuration and
-        policy shares it.
-        """
-        if self._btb is None:
-            self._btb = build_btb(
-                self.workload.program.instructions,
-                text_base=self.workload.program.text_base,
-                line_size=self.image.line_size,
-            )
-        return self._btb
-
     def prefetch_replay(self, config: SystemConfig) -> FetchReplay:
         """Fetch-path replay of one prefetching configuration (cached).
 
@@ -279,7 +262,6 @@ class ProgramStudy:
                         clb=CLB(entries=config.clb_entries),
                         policy=config.fetch_policy,
                         prefetch_depth=config.prefetch_depth,
-                        btb=self.btb() if config.fetch_policy == "btb" else None,
                     )
 
                 replay = artifacts.get_cache().get_or_compute(

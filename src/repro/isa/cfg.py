@@ -142,41 +142,6 @@ def find_leaders(
     return {leader for leader in leaders if text_base <= leader < text_end}
 
 
-def static_transfer_targets(
-    instructions: tuple[Instruction, ...] | list[Instruction],
-    text_base: int = 0,
-) -> list[tuple[int, int]]:
-    """Statically-resolvable control-transfer edges of a text segment.
-
-    Returns ``(instruction_address, target_address)`` pairs, in static
-    program order, for every branch (conditional or linking) and direct
-    jump whose target is an immediate — the edges the branch-target
-    buffer of :mod:`repro.prefetch` is trained from.  Indirect transfers
-    (``jr``/``jalr``) have no static target and are omitted; targets
-    outside the text segment are dropped.
-    """
-    count = len(instructions)
-    text_end = text_base + 4 * count
-    edges: list[tuple[int, int]] = []
-    for index, instruction in enumerate(instructions):
-        spec = instruction.spec
-        if not spec.is_control_transfer:
-            continue
-        address = text_base + 4 * index
-        category = spec.category
-        if category in (Category.BRANCH, Category.FP_BRANCH):
-            target = _branch_target(instruction, address)
-        elif instruction.mnemonic in ("j", "jal"):
-            target = _jump_target(instruction, address)
-        elif instruction.mnemonic in ("bltzal", "bgezal"):
-            target = _branch_target(instruction, address)
-        else:  # jr / jalr: target unknown until run time
-            continue
-        if text_base <= target < text_end:
-            edges.append((address, target))
-    return edges
-
-
 def build_cfg(
     text: bytes,
     text_base: int = 0,

@@ -1,26 +1,24 @@
-"""Branch-aware prefetching refill engine (see ``docs/modeling_notes.md`` §15).
+"""Prefetching refill engine (see ``docs/modeling_notes.md`` §15).
 
 The paper's CCRP charges every instruction-cache miss the full
 sequential Huffman decode latency.  This package models the front end a
-real implementation would pair with the decoder: a next-line predictor
-and a small static branch-target buffer speculatively decompress the
-lines fetch is likely to want next into a bounded prefetch buffer, so a
-later demand miss pays only the *residual* decode cycles — zero when
-the speculative decode finished in the shadow of execution.
+real implementation would pair with the decoder: after each miss a
+next-line policy speculatively decompresses the fall-through line into
+a bounded prefetch buffer, so a later demand miss pays only the
+*residual* decode cycles — zero when the speculative decode finished in
+the shadow of execution.
 
 Exports:
 
 * :data:`~repro.prefetch.engine.FETCH_POLICIES` /
   :func:`~repro.prefetch.engine.validate_fetch_policy` — the selectable
-  policies (``demand``, ``nextline``, ``btb``);
+  policies (``demand``, ``nextline``);
 * :class:`~repro.prefetch.engine.PrefetchingFetchUnit` — the stateful
-  exact front end (drop-in for the pipeline datapath replay);
+  exact front end, the reference model the tests and
+  ``benchmarks/bench_frontend.py --check`` compare the timeline with;
 * :func:`~repro.prefetch.timeline.simulate_fetch_stream` /
   :class:`~repro.prefetch.timeline.FetchReplay` — the vectorized
   whole-trace replay, byte-identical to the exact unit;
-* :class:`~repro.prefetch.predictor.StaticBTB` /
-  :func:`~repro.prefetch.predictor.build_btb` — the CFG-trained
-  branch-target buffer;
 * :class:`~repro.prefetch.buffer.PrefetchBuffer` — the bounded
   speculative-refill buffer.
 """
@@ -33,19 +31,15 @@ from repro.prefetch.engine import (
     build_core,
     validate_fetch_policy,
 )
-from repro.prefetch.predictor import DEFAULT_BTB_ENTRIES, StaticBTB, build_btb
 from repro.prefetch.timeline import FetchReplay, simulate_fetch_stream
 
 __all__ = [
-    "DEFAULT_BTB_ENTRIES",
     "FETCH_POLICIES",
     "FetchReplay",
     "PrefetchBuffer",
     "PrefetchCore",
     "PrefetchEntry",
     "PrefetchingFetchUnit",
-    "StaticBTB",
-    "build_btb",
     "build_core",
     "simulate_fetch_stream",
     "validate_fetch_policy",

@@ -8,16 +8,12 @@ Huffman decompression latency.  A real front end would overlap most of
 that with execution: while the pipeline executes the line it just
 fetched, the refill engine can speculatively start decompressing the
 lines fetch is likely to want next.  This module models that overlap
-with three selectable policies:
+with two selectable policies:
 
 * ``demand`` — today's behaviour, bit-for-bit: misses freeze the
   pipeline for the full refill (plus a LAT read on a CLB miss);
 * ``nextline`` — each miss to line *L*, once serviced, starts a
-  speculative refill of the fall-through line *L + 1*;
-* ``btb`` — next-line plus a second probe of a small branch-target
-  buffer (:class:`~repro.prefetch.predictor.StaticBTB`): if a control
-  transfer in *L* redirects fetch to a known line, that line is
-  prefetched too.
+  speculative refill of the fall-through line *L + 1*.
 
 The shadow clock
 ----------------
@@ -37,9 +33,7 @@ what a fresh demand decode would cost (the prefetch is still queued
 behind others on the single decoder port), the front end abandons it and
 decodes on demand — so a covered miss never costs more than an uncovered
 one.  Wrong-path prefetches are charged honestly: their bus/LAT traffic
-is accounted, their buffer slot evicts under pressure, and with
-``contention=True`` an in-flight speculative decode makes a demand miss
-wait for the shared decoder port.
+is accounted and their buffer slot evicts under pressure.
 
 Cache semantics are untouched: prefetched lines sit in a bounded
 side-buffer (:class:`~repro.prefetch.buffer.PrefetchBuffer`), a buffer
@@ -59,10 +53,9 @@ from repro.lat.entry import ENTRY_BYTES, LINES_PER_ENTRY
 from repro.memsys.models import MemoryModel
 from repro.pipeline.frontend import FetchUnit
 from repro.prefetch.buffer import PrefetchBuffer, PrefetchEntry
-from repro.prefetch.predictor import StaticBTB
 
 #: The selectable fetch policies.
-FETCH_POLICIES = ("demand", "nextline", "btb")
+FETCH_POLICIES = ("demand", "nextline")
 
 
 def validate_fetch_policy(name: str) -> str:
@@ -97,10 +90,6 @@ class PrefetchCore:
             structure, so prefetch probes train and pollute it exactly
             as hardware would); ``None`` models a perfect CLB.
         lat_penalty: Cycles of one LAT-entry read (charged on CLB miss).
-        btb: Branch-target predictor (``btb`` policy only).
-        contention: Model a single shared decoder port — demand decodes
-            wait for in-flight speculative decodes.  Off by default (the
-            optimistic dual-port assumption the invariant tests pin).
     """
 
     def __init__(
@@ -112,12 +101,8 @@ class PrefetchCore:
         valid_line: Callable[[int], bool],
         clb: CLB | None = None,
         lat_penalty: int = 0,
-        btb: StaticBTB | None = None,
-        contention: bool = False,
     ) -> None:
         validate_fetch_policy(policy)
-        if policy == "btb" and btb is None:
-            raise ConfigurationError("the btb policy needs a branch-target buffer")
         self.policy = policy
         self.buffer = PrefetchBuffer(depth)
         self._line_cycles = line_cycles
@@ -125,8 +110,6 @@ class PrefetchCore:
         self._valid_line = valid_line
         self.clb = clb
         self.lat_penalty = lat_penalty
-        self.btb = btb
-        self.contention = contention
         self._decoder_free = 0
         self.reset_counters()
 
@@ -192,9 +175,6 @@ class PrefetchCore:
             self.useless += 1
             self.wasted_traffic_bytes += self._entry_traffic(entry)
         stall = demand_cost
-        if self.contention:
-            stall += max(0, self._decoder_free - now)
-            self._decoder_free = now + stall
         self.traffic_bytes += self._line_bytes(line)
         self._issue_prefetches(now + stall, line, is_resident)
         return stall
@@ -202,38 +182,31 @@ class PrefetchCore:
     def _entry_traffic(self, entry: PrefetchEntry) -> int:
         return self._line_bytes(entry.line)
 
-    def _predictions(self, line: int) -> list[int]:
-        if self.policy == "demand":
-            return []
-        predictions = [line + 1]
-        if self.policy == "btb":
-            target = self.btb.predict(line)
-            if target is not None and target not in (line, line + 1):
-                predictions.append(target)
-        return predictions
-
     def _issue_prefetches(
         self, done: int, line: int, is_resident: Callable[[int], bool]
     ) -> None:
-        """Start speculative refills once the demand miss completes."""
-        for predicted in self._predictions(line):
-            if not self._valid_line(predicted):
-                continue
-            if predicted in self.buffer or is_resident(predicted):
-                continue
-            penalty = self._probe_clb(predicted)
-            duration = self._line_cycles(predicted) + penalty
-            start = max(done, self._decoder_free)
-            finish = start + duration
-            self._decoder_free = finish
-            self.traffic_bytes += self._line_bytes(predicted)
-            evicted = self.buffer.insert(
-                PrefetchEntry(line=predicted, issue_time=done, finish_time=finish)
-            )
-            self.issued += 1
-            if evicted is not None:
-                self.useless += 1
-                self.wasted_traffic_bytes += self._entry_traffic(evicted)
+        """Start the speculative refill of the fall-through line once the
+        demand miss completes (``nextline``; ``demand`` issues none)."""
+        if self.policy == "demand":
+            return
+        predicted = line + 1
+        if not self._valid_line(predicted):
+            return
+        if predicted in self.buffer or is_resident(predicted):
+            return
+        penalty = self._probe_clb(predicted)
+        duration = self._line_cycles(predicted) + penalty
+        start = max(done, self._decoder_free)
+        finish = start + duration
+        self._decoder_free = finish
+        self.traffic_bytes += self._line_bytes(predicted)
+        evicted = self.buffer.insert(
+            PrefetchEntry(line=predicted, issue_time=done, finish_time=finish)
+        )
+        self.issued += 1
+        if evicted is not None:
+            self.useless += 1
+            self.wasted_traffic_bytes += self._entry_traffic(evicted)
 
     # ------------------------------------------------------------------
     # Accounting views
@@ -273,8 +246,6 @@ def build_core(
     line_size: int,
     refill: RefillEngine | None = None,
     clb: CLB | None = None,
-    btb: StaticBTB | None = None,
-    contention: bool = False,
     prefetch_bounds: tuple[int, int] | None = None,
 ) -> PrefetchCore:
     """Configure a :class:`PrefetchCore` for one machine model.
@@ -310,8 +281,6 @@ def build_core(
         valid_line=valid,
         clb=clb,
         lat_penalty=lat_penalty,
-        btb=btb,
-        contention=contention,
     )
 
 
@@ -332,8 +301,6 @@ class PrefetchingFetchUnit(FetchUnit):
             time.
         policy: One of :data:`FETCH_POLICIES`.
         prefetch_depth: Prefetch-buffer capacity.
-        btb: Branch-target predictor (required for ``policy="btb"``).
-        contention: Shared-decoder-port model (see :class:`PrefetchCore`).
         prefetch_bounds: ``(base_line, line_count)`` limiting which
             global lines may be prefetched when ``refill`` is ``None``
             (the compressed image provides the bounds otherwise).
@@ -348,8 +315,6 @@ class PrefetchingFetchUnit(FetchUnit):
         clb: CLB | None = None,
         policy: str = "demand",
         prefetch_depth: int = 4,
-        btb: StaticBTB | None = None,
-        contention: bool = False,
         prefetch_bounds: tuple[int, int] | None = None,
     ) -> None:
         super().__init__(
@@ -363,8 +328,6 @@ class PrefetchingFetchUnit(FetchUnit):
             line_size,
             refill=refill,
             clb=clb,
-            btb=btb,
-            contention=contention,
             prefetch_bounds=prefetch_bounds,
         )
 

@@ -36,7 +36,6 @@ from repro.ccrp.refill import RefillEngine
 from repro.memsys.models import MemoryModel, get_memory_model
 from repro.pipeline.frontend import FetchUnit, miss_mask
 from repro.prefetch.engine import build_core
-from repro.prefetch.predictor import StaticBTB
 
 
 @dataclass(frozen=True)
@@ -148,8 +147,6 @@ def simulate_fetch_stream(
     clb: CLB | None = None,
     policy: str = "demand",
     prefetch_depth: int = 4,
-    btb: StaticBTB | None = None,
-    contention: bool = False,
     prefetch_bounds: tuple[int, int] | None = None,
 ) -> FetchReplay:
     """Replay a whole fetch-address stream under one policy, vectorized.
@@ -168,8 +165,6 @@ def simulate_fetch_stream(
         line_size,
         refill=refill,
         clb=clb,
-        btb=btb,
-        contention=contention,
         prefetch_bounds=prefetch_bounds,
     )
     addresses = np.asarray(addresses)

@@ -32,7 +32,7 @@ def _pipeline_report(
     from repro.cache.direct_mapped import simulate_trace
     from repro.memsys.models import get_memory_model
     from repro.pipeline.timeline import BlockTable, replay_trace
-    from repro.prefetch import build_btb, simulate_fetch_stream
+    from repro.prefetch import simulate_fetch_stream
 
     memory = get_memory_model(memory_name)
     line_size = 32
@@ -49,13 +49,6 @@ def _pipeline_report(
             memory,
             policy=fetch_policy,
             prefetch_depth=prefetch_depth,
-            btb=build_btb(
-                program.instructions,
-                text_base=program.text_base,
-                line_size=line_size,
-            )
-            if fetch_policy == "btb"
-            else None,
             prefetch_bounds=(program.text_base // line_size, text_lines),
         )
         fetch_stalls = prefetch.fetch_stall_cycles
@@ -114,7 +107,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--fetch-policy",
         default="demand",
-        metavar="{demand,nextline,btb}",
+        metavar="{demand,nextline}",
         help="front-end refill policy for --timing pipeline (default: demand)",
     )
     parser.add_argument(

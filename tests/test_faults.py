@@ -176,6 +176,56 @@ class TestExpandingCacheIntegrity:
         with pytest.raises(ConfigurationError):
             ExpandingInstructionCache(image, integrity="strict")
 
+    def test_survey_decodes_only_the_corrupted_line(self, monkeypatch):
+        """Under a memory-image override, a line whose fetched bytes are
+        its block's own stored bytes comes from the image's one batch
+        decode; only the corrupted block meets the per-line decoder.  The
+        per-line path (reference mode) decodes every line and reaches the
+        same verdicts."""
+        program = bytes(index % 7 for index in range(2048))
+        image = ProgramCompressor(standard_code(), integrity=True).compress(program)
+        assert all(block.is_compressed for block in image.blocks)
+        corrupted = self._corrupt_code(image, image.memory_image())
+        image.expanded_lines()  # the shared batch decode, built once
+        calls = []
+        original = HuffmanCode.decode
+
+        def counting(code, blob, count):
+            calls.append(blob)
+            return original(code, blob, count)
+
+        monkeypatch.setattr(HuffmanCode, "decode", counting)
+        cache, errors = refill_survey(image, "detect", corrupted)
+        assert len(calls) == 1
+        assert len(cache.integrity_events) == 1
+
+        monkeypatch.setenv("CCRP_REFERENCE", "1")
+        calls.clear()
+        reference, reference_errors = refill_survey(image, "detect", corrupted)
+        assert len(calls) == image.line_count
+        assert reference.integrity_events == cache.integrity_events
+        assert reference_errors == errors
+        assert reference._lines == cache._lines
+
+    def test_lat_compressed_bypass_block_is_decoded(self):
+        """A block the image stores verbatim but the fetched LAT entry
+        marks compressed is Huffman-decoded, as the hardware would, not
+        served verbatim from the batch."""
+        import dataclasses
+
+        program = bytes(index % 7 for index in range(2048))
+        image = ProgramCompressor(standard_code()).compress(program)
+        target = 3
+        blocks = list(image.blocks)
+        blocks[target] = dataclasses.replace(blocks[target], is_compressed=False)
+        mismatched = dataclasses.replace(image, blocks=tuple(blocks))
+        cache = ExpandingInstructionCache(
+            mismatched, cache_bytes=256, memory_image=image.memory_image()
+        )
+        line = image.line_size
+        address = image.text_base + target * line
+        assert cache.read_line(address) == program[target * line : (target + 1) * line]
+
 
 class TestBatchedRefillAttribution:
     """A corrupt blob must fail with *its own* line number, and only there.

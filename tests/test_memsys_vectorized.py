@@ -441,12 +441,14 @@ class TestExpandingCacheBatchPath:
         text = sample_text(lines=48, seed=4)
         return ProgramCompressor(make_code(text)).compress(text, text_base=0)
 
-    def test_batch_and_scalar_paths_fetch_identical_lines(self, image):
-        batch = ExpandingInstructionCache(image, cache_bytes=256)
-        # Passing the serialised image explicitly disables the batch path.
-        scalar = ExpandingInstructionCache(
+    def test_batch_and_scalar_paths_fetch_identical_lines(self, image, monkeypatch):
+        # An explicit memory image keeps the batch path; only the
+        # reference switch turns it off.
+        batch = ExpandingInstructionCache(
             image, cache_bytes=256, memory_image=image.memory_image()
         )
+        monkeypatch.setenv("CCRP_REFERENCE", "1")
+        scalar = ExpandingInstructionCache(image, cache_bytes=256)
         assert batch._use_batch and not scalar._use_batch
         for line in range(image.line_count):
             address = line * image.line_size

@@ -2,17 +2,23 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import CompressionError
 from repro.compression.histogram import byte_histogram
 from repro.compression.huffman import HuffmanCode
 from repro.compression.multicode import (
+    MultiCodeBlock,
     MultiCodeCompressor,
     train_code_set,
 )
+
+from huffman_oracle import oracle_outcome
 
 
 def code_for(data: bytes) -> HuffmanCode:
@@ -142,3 +148,72 @@ class TestTrainCodeSet:
             train_code_set([b"\x00" * 64], code_count=0)
         with pytest.raises(CompressionError):
             train_code_set([], code_count=1)
+
+
+# Two codes trained on different byte populations, as in the fixture.
+_FUZZ_RNG = random.Random(41)
+_FUZZ_CODES = [
+    code_for(bytes(_FUZZ_RNG.choices(range(8), k=2048))),
+    code_for(bytes(_FUZZ_RNG.choices(range(200, 256), k=2048))),
+]
+_FUZZ_COMPRESSOR = MultiCodeCompressor(_FUZZ_CODES)
+
+
+def _outcome(compressor: MultiCodeCompressor, block: MultiCodeBlock) -> bytes | str:
+    try:
+        return compressor.decompress_block(block)
+    except CompressionError as error:
+        return str(error)
+
+
+class TestDecompressFuzz:
+    """Corrupt, truncated and empty blobs and out-of-range tags end in the
+    decoded bytes or a typed ``CompressionError``, never another error."""
+
+    @pytest.mark.parametrize("tag", [2, 3, -1, -2])
+    def test_out_of_range_tag_is_typed(self, tag):
+        block = MultiCodeBlock(code_index=tag, data=b"\x00" * 8, bit_length=64)
+        with pytest.raises(CompressionError, match=f"code tag {tag}"):
+            _FUZZ_COMPRESSOR.decompress_block(block)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        line=st.one_of(
+            st.binary(min_size=32, max_size=32),
+            st.lists(st.integers(0, 7), min_size=32, max_size=32).map(bytes),
+            st.lists(st.integers(200, 255), min_size=32, max_size=32).map(bytes),
+        ),
+        mutation=st.sampled_from(
+            ("none", "flip", "truncate", "empty", "arbitrary", "tag")
+        ),
+        data=st.data(),
+    )
+    def test_adversarial_blocks(self, line, mutation, data):
+        block = _FUZZ_COMPRESSOR.compress_line(line)
+        blob, tag = block.data, block.code_index
+        if mutation == "flip" and blob:
+            bit = data.draw(st.integers(0, 8 * len(blob) - 1))
+            blob = bytearray(blob)
+            blob[bit // 8] ^= 0x80 >> (bit % 8)
+            blob = bytes(blob)
+        elif mutation == "truncate":
+            blob = blob[: data.draw(st.integers(0, max(len(blob) - 1, 0)))]
+        elif mutation == "empty":
+            blob = b""
+        elif mutation == "arbitrary":
+            blob = data.draw(st.binary(max_size=40))
+        elif mutation == "tag":
+            tag = data.draw(st.one_of(st.none(), st.integers(-4, 6)))
+        outcome = _outcome(
+            _FUZZ_COMPRESSOR, dataclasses.replace(block, code_index=tag, data=blob)
+        )
+        if mutation == "none":
+            assert outcome == line
+        if tag is None:
+            assert outcome == blob
+        elif 0 <= tag < len(_FUZZ_CODES):
+            assert outcome == oracle_outcome(_FUZZ_CODES[tag], blob, 32)
+        else:
+            assert outcome == (
+                f"code tag {tag} names no code (the set has {len(_FUZZ_CODES)})"
+            )

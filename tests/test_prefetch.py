@@ -4,7 +4,9 @@ Covers the golden hand-computed prefetch timeline, the demand-policy
 byte-identity with the plain fetch unit, the exact-vs-vectorized
 equivalence (property-tested over random streams and pinned on a real
 workload), the prefetch-never-hurts invariant, counter reconciliation,
-and the BTB / buffer / configuration surfaces.
+and the buffer / configuration surfaces.  The exact unit is the
+reference model: these tests and ``benchmarks/bench_frontend.py
+--check`` are where the timeline is compared with it.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ from hypothesis import strategies as st
 from repro.ccrp.clb import CLB
 from repro.core.config import SystemConfig
 from repro.errors import ConfigurationError
-from repro.isa import Assembler
 from repro.memsys import EPROM
 from repro.pipeline import FetchUnit
 from repro.prefetch import (
@@ -26,8 +27,6 @@ from repro.prefetch import (
     PrefetchBuffer,
     PrefetchEntry,
     PrefetchingFetchUnit,
-    StaticBTB,
-    build_btb,
     simulate_fetch_stream,
     validate_fetch_policy,
 )
@@ -104,16 +103,6 @@ _ADDRESSES = st.lists(
 )
 
 
-def _btb_for(data) -> StaticBTB:
-    btb = StaticBTB(entries=8)
-    for _ in range(data.draw(st.integers(min_value=0, max_value=6))):
-        btb.train(
-            data.draw(st.integers(min_value=0, max_value=127)),
-            data.draw(st.integers(min_value=0, max_value=127)),
-        )
-    return btb
-
-
 @settings(max_examples=40, deadline=None)
 @given(addresses=_ADDRESSES, cache_bytes=st.sampled_from((64, 256, 1024)))
 def test_demand_policy_is_byte_identical_to_plain_unit(addresses, cache_bytes):
@@ -138,18 +127,15 @@ def test_demand_policy_is_byte_identical_to_plain_unit(addresses, cache_bytes):
     cache_bytes=st.sampled_from((64, 256)),
     policy=st.sampled_from(FETCH_POLICIES),
     depth=st.integers(min_value=1, max_value=6),
-    data=st.data(),
 )
-def test_exact_equals_timeline(addresses, cache_bytes, policy, depth, data):
+def test_exact_equals_timeline(addresses, cache_bytes, policy, depth):
     """The vectorized replay is byte-identical to the stateful unit."""
     stream = np.array(addresses, dtype=np.int64)
-    btb = _btb_for(data) if policy == "btb" else None
     unit = PrefetchingFetchUnit(
         cache_bytes=cache_bytes,
         memory=EPROM,
         policy=policy,
         prefetch_depth=depth,
-        btb=btb,
     )
     stalls = sum(unit.fetch(address) for address in stream.tolist())
     exact = FetchReplay.from_unit(unit, stalls)
@@ -160,46 +146,32 @@ def test_exact_equals_timeline(addresses, cache_bytes, policy, depth, data):
         EPROM,
         policy=policy,
         prefetch_depth=depth,
-        btb=btb,
     )
     assert exact == timeline
 
 
 @settings(max_examples=40, deadline=None)
-@given(
-    addresses=_ADDRESSES,
-    cache_bytes=st.sampled_from((64, 256)),
-    policy=st.sampled_from(("nextline", "btb")),
-    data=st.data(),
-)
-def test_prefetch_never_costs_more_than_demand(addresses, cache_bytes, policy, data):
-    """With no decoder contention and a perfect CLB, the abandon cap
-    guarantees a covered miss never exceeds its demand cost — so the
-    total can only improve.  (A shared CLB can break strict dominance
-    through pollution; see docs/modeling_notes.md §15.)"""
+@given(addresses=_ADDRESSES, cache_bytes=st.sampled_from((64, 256)))
+def test_prefetch_never_costs_more_than_demand(addresses, cache_bytes):
+    """With a perfect CLB, the abandon cap guarantees a covered miss
+    never exceeds its demand cost — so the total can only improve.  (A
+    shared CLB can break strict dominance through pollution; see
+    docs/modeling_notes.md §15.)"""
     stream = np.array(addresses, dtype=np.int64)
-    btb = _btb_for(data) if policy == "btb" else None
     demand = simulate_fetch_stream(stream, cache_bytes, 32, EPROM, policy="demand")
-    prefetch = simulate_fetch_stream(
-        stream, cache_bytes, 32, EPROM, policy=policy, btb=btb
-    )
+    prefetch = simulate_fetch_stream(stream, cache_bytes, 32, EPROM, policy="nextline")
     assert prefetch.fetch_stall_cycles <= demand.fetch_stall_cycles
     assert prefetch.misses == demand.misses  # miss stream is policy-invariant
 
 
 @settings(max_examples=40, deadline=None)
-@given(
-    addresses=_ADDRESSES,
-    policy=st.sampled_from(("nextline", "btb")),
-    data=st.data(),
-)
-def test_counters_reconcile(addresses, policy, data):
+@given(addresses=_ADDRESSES)
+def test_counters_reconcile(addresses):
     """Every issued prefetch is eventually useful, useless, or in flight;
     hidden cycles plus the covered misses' residuals equal the demand
     bill those misses would have paid."""
     stream = np.array(addresses, dtype=np.int64)
-    btb = _btb_for(data) if policy == "btb" else None
-    replay = simulate_fetch_stream(stream, 64, 32, EPROM, policy=policy, btb=btb)
+    replay = simulate_fetch_stream(stream, 64, 32, EPROM, policy="nextline")
     assert replay.issued == replay.useful + replay.useless + replay.in_flight_at_exit
     assert replay.partial <= replay.useful
     assert replay.covered_stall_cycles >= 0
@@ -214,7 +186,6 @@ def test_real_workload_ccrp_equivalence():
     study = get_study("eightq")
     addresses = study.execution.trace.addresses[:30_000]
     for policy in FETCH_POLICIES:
-        btb = study.btb() if policy == "btb" else None
         engine = study.refill_engine("sc_dram", SystemConfig().decoder)
         unit = PrefetchingFetchUnit(
             256,
@@ -222,7 +193,6 @@ def test_real_workload_ccrp_equivalence():
             refill=engine,
             clb=CLB(entries=8),
             policy=policy,
-            btb=btb,
         )
         stalls = sum(unit.fetch(int(address)) for address in addresses)
         exact = FetchReplay.from_unit(unit, stalls)
@@ -234,57 +204,13 @@ def test_real_workload_ccrp_equivalence():
             refill=engine,
             clb=CLB(entries=8),
             policy=policy,
-            btb=btb,
         )
         assert exact == timeline, policy
 
 
 # ----------------------------------------------------------------------
-# BTB and buffer units
+# Buffer units
 # ----------------------------------------------------------------------
-
-
-class TestStaticBTB:
-    def test_train_and_predict(self):
-        btb = StaticBTB(entries=4)
-        btb.train(10, 3)
-        assert btb.predict(10) == 3
-        assert btb.predict(11) is None
-
-    def test_direct_mapped_conflict_later_wins(self):
-        btb = StaticBTB(entries=4)
-        btb.train(2, 9)
-        btb.train(6, 17)  # same slot (6 % 4 == 2 % 4)
-        assert btb.predict(2) is None
-        assert btb.predict(6) == 17
-
-    def test_build_from_program_cfg(self):
-        source = (
-            "main:\n"
-            + "".join(f"    addu $t0, $t1, $t2\n" for _ in range(16))
-            + "loop:\n"
-            + "".join(f"    addu $t3, $t4, $t5\n" for _ in range(16))
-            + "    bne $t0, $zero, main\n"
-            + "    nop\n"
-            + "    addiu $v0, $zero, 10\n    syscall\n"
-        )
-        program = Assembler().assemble(source)
-        btb = build_btb(program.instructions, text_base=program.text_base)
-        branch_address = program.text_base + 32 * 4  # the bne
-        target_line = program.text_base // 32  # main's line
-        assert btb.predict(branch_address // 32) == target_line
-        assert btb.occupancy >= 1
-
-    def test_fall_through_targets_are_skipped(self):
-        # A branch whose target is its own line or the next line teaches
-        # the BTB nothing next-line prefetch does not already cover.
-        source = (
-            "main:\n    bne $t0, $zero, skip\n    nop\nskip:\n"
-            "    addiu $v0, $zero, 10\n    syscall\n"
-        )
-        program = Assembler().assemble(source)
-        btb = build_btb(program.instructions, text_base=program.text_base)
-        assert btb.occupancy == 0
 
 
 class TestPrefetchBuffer:
@@ -318,8 +244,9 @@ class TestPrefetchBuffer:
 def test_validate_fetch_policy():
     for name in FETCH_POLICIES:
         assert validate_fetch_policy(name) == name
-    with pytest.raises(ConfigurationError):
-        validate_fetch_policy("oracle")
+    for name in ("oracle", "btb"):
+        with pytest.raises(ConfigurationError):
+            validate_fetch_policy(name)
 
 
 def test_config_requires_pipeline_backend():
@@ -335,11 +262,6 @@ def test_config_rejects_critical_word_first_combination():
 
 
 def test_config_accepts_prefetching_pipeline():
-    config = SystemConfig(fetch_policy="btb", timing="pipeline", prefetch_depth=8)
-    assert config.fetch_policy == "btb"
+    config = SystemConfig(fetch_policy="nextline", timing="pipeline", prefetch_depth=8)
+    assert config.fetch_policy == "nextline"
     assert config.prefetch_depth == 8
-
-
-def test_btb_policy_requires_btb():
-    with pytest.raises(ConfigurationError):
-        PrefetchingFetchUnit(cache_bytes=64, memory=EPROM, policy="btb")
